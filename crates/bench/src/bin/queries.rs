@@ -23,7 +23,7 @@ use f2c_core::runtime::populate_city;
 use f2c_core::{ChaosSite, F2cCity, Layer, Parallelism};
 use f2c_obs::Json;
 use f2c_query::parallel;
-use f2c_query::workload::{self, DiurnalCurve, FlashCrowd, Mix, ServiceClass, WorkloadConfig};
+use f2c_query::workload::{DiurnalCurve, FlashCrowd, Mix, ServiceClass, WorkloadConfig};
 use f2c_query::{
     EngineConfig, LayerCaps, Outcome, Query, QueryEngine, QueryKind, Scope, Selector, TimeWindow,
     WorkloadReport,
@@ -346,11 +346,13 @@ fn main() {
     // --- flash crowd: the QoS promise under a deliberate overload -------
     // A fresh, tightly-capped engine (result caches disabled so the
     // burst's aggregates cannot hide behind cache hits, which bypass
-    // admission) takes a 300-user analytics stampede. The analytics
-    // quota saturates and sheds *during the burst window* while the
-    // real-time guarantee keeps every live read flowing — the
-    // "never shed a real-time read while analytics holds borrowed
-    // slots" invariant, demonstrated at the same instant.
+    // admission) takes a 300-user analytics stampede on the same
+    // district-sharded loop as the main run, so each shard's crowd
+    // members contend for that shard's own fog-1 slice and fog-2/cloud
+    // budget. The analytics quota saturates and sheds *during the burst
+    // window* while the real-time guarantee keeps every live read
+    // flowing — the "never shed a real-time read while analytics holds
+    // borrowed slots" invariant, demonstrated at the same instant.
     println!("\n== flash crowd: analytics stampede vs the real-time guarantee ==");
     let mut crowd_city = F2cCity::barcelona().expect("city builds");
     populate_city(&mut crowd_city, 20_000, 2017, 3_600, 900).expect("warm-up runs");
@@ -380,7 +382,7 @@ fn main() {
         think_divisor: 32,
     });
     let t = Instant::now();
-    let crowd_report = workload::run(&mut crowd_engine, &crowd_config).expect("burst runs");
+    let crowd_report = parallel::run(&mut crowd_engine, &crowd_config).expect("burst runs");
     println!(
         "burst workload: {} requests in {:.2?}",
         crowd_report.issued,
@@ -631,7 +633,7 @@ fn main() {
     };
     let t = Instant::now();
     let chaos_report =
-        workload::run(&mut chaos_engine, &chaos_config).expect("faults degrade, never error");
+        parallel::run(&mut chaos_engine, &chaos_config).expect("faults degrade, never error");
     println!(
         "storm workload: {} requests over {} simulated seconds in {:.2?}",
         chaos_report.issued,

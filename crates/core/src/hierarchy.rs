@@ -788,7 +788,8 @@ impl F2cCity {
     /// loses its wave exactly as [`F2cCity::ingest`] does. Per-shard
     /// scratches absorb in district order and sections are
     /// district-contiguous, so incidents land in section order — the
-    /// sequential loop's byte stream at every thread count.
+    /// byte stream of ingesting section by section, at every thread
+    /// count.
     ///
     /// # Errors
     ///

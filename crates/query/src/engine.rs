@@ -524,11 +524,12 @@ struct FoldTally {
 ///
 /// Serving only ever *reads* the city (`&F2cCity`): metrics, spans,
 /// incidents and network metering land in the scratch, which the owner
-/// absorbs into the city at a barrier (the sequential engine drains
-/// after every serve, so its observables are indistinguishable from
-/// direct publication). That split is what lets district shards serve
-/// concurrently against a shared city snapshot and still merge into a
-/// byte-identical global view in canonical shard order.
+/// absorbs into the city: [`QueryEngine::serve`] drains it after every
+/// call, so its observables are indistinguishable from direct
+/// publication, while [`crate::parallel::run`] drains each district
+/// shard's core at a barrier. That split is what lets district shards
+/// serve concurrently against a shared city snapshot and still merge
+/// into a byte-identical global view in canonical shard order.
 #[derive(Debug)]
 pub(crate) struct ServeCore {
     pub(crate) cfg: EngineConfig,
@@ -554,7 +555,7 @@ pub(crate) struct ServeCore {
 /// The consumer-facing query engine over an assembled city: a
 /// `ServeCore` plus the city it serves, drained after every call so
 /// the city's unified registry/tracer/timeline stay the one source of
-/// truth for sequential callers.
+/// truth for one-off callers.
 #[derive(Debug)]
 pub struct QueryEngine {
     city: F2cCity,
@@ -727,8 +728,8 @@ impl QueryEngine {
     }
 
     /// Serves one query at `now_s`, then absorbs the core's buffered
-    /// observability into the city — so sequential callers observe
-    /// exactly what direct publication produced before the core split.
+    /// observability into the city — so a caller reading
+    /// [`QueryEngine::stats`] right after sees this query counted.
     ///
     /// # Errors
     ///

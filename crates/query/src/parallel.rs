@@ -1,5 +1,5 @@
-//! The sharded workload runtime: the closed loop of [`crate::workload`]
-//! partitioned by district onto worker threads.
+//! The closed serving loop: a [`crate::workload`] shape driven by
+//! district shards on worker threads.
 //!
 //! The city is split into one **logical shard per district** — a fixed
 //! decomposition, independent of the thread count — and each shard owns
@@ -21,7 +21,8 @@
 //! every run artifact — the transcript, its FNV hash, the metric
 //! snapshot, traces and the incident timeline — is byte-identical at
 //! any [`f2c_core::Parallelism`] (`PARALLELISM=1` reproduces
-//! `PARALLELISM=8` exactly). `tests/parallel.rs` holds that oracle.
+//! `PARALLELISM=8` exactly; at one thread the shards simply run inline).
+//! `tests/parallel.rs` holds that oracle.
 //!
 //! Two latent shared-state hazards are resolved by construction:
 //!
@@ -49,8 +50,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::engine::{ClassStats, LayerCaps, Outcome, QueryEngine, ServeCore, ServedVia};
 use crate::workload::{
-    fnv1a, gen_query_at, think, validate, DiurnalCurve, FlashCrowd, ServiceClass, User,
-    WorkloadConfig, WorkloadReport, FNV_OFFSET,
+    fnv1a, gen_query, validate, FlashCrowd, ServiceClass, User, WorkloadConfig, WorkloadReport,
+    FNV_OFFSET,
 };
 use crate::{Error, Result};
 
@@ -65,11 +66,10 @@ use crate::{Error, Result};
 /// serve district- and city-scoped queries whose fan-outs hold one
 /// slot per *leg* (a 10-district scatter needs 10 fog-2 slots at
 /// once; a tenth-sized slice could never admit it). Each shard thus
-/// runs the exact admission arithmetic the sequential engine would
-/// run if only that shard's users existed; the aggregate in-flight
-/// bound relaxes to per-shard, which is the documented cost of
-/// shard-local admission (no cross-shard slot traffic, no ordering
-/// dependence).
+/// runs the admission arithmetic of a [`QueryEngine`] serving only that
+/// shard's users; the in-flight bound at fog 2 and the cloud holds per
+/// shard, not city-wide. That is the admission semantics of every
+/// workload run: no cross-shard slot traffic, no ordering dependence.
 pub(crate) fn partition_caps(total: LayerCaps, section_counts: &[usize]) -> Vec<LayerCaps> {
     let total_sections: u64 = section_counts.iter().map(|&c| c as u64).sum::<u64>().max(1);
     let mut fog1: Vec<u32> = Vec::with_capacity(section_counts.len());
@@ -108,21 +108,6 @@ enum Ev {
     /// A simulated response completed: release its admission slots
     /// (always against this shard's own ledger slice).
     Release(crate::engine::HeldSlots),
-}
-
-/// A user's next think time (identical arithmetic to the sequential
-/// loop): class nominal, scaled by the diurnal intensity, then by the
-/// flash-crowd divisor.
-fn next_think(
-    user: &User,
-    now_s: u64,
-    diurnal: Option<DiurnalCurve>,
-    rng: &mut SmallRng,
-) -> Duration {
-    let base = think(user.class, rng);
-    let milli = diurnal.map_or(1_000, |curve| curve.intensity_milli(now_s));
-    let scaled = base.as_micros() * 1_000 / milli;
-    Duration::from_micros((scaled / u64::from(user.think_divisor)).max(1))
 }
 
 /// One district shard: everything it needs to advance between barriers
@@ -190,7 +175,7 @@ impl Shard {
                     let class = user.class;
                     let in_flash = crowds.iter().any(|c| c.active_at(now_s));
                     let origin = self.sections[self.rng.gen_range(0..self.sections.len())];
-                    let query = gen_query_at(
+                    let query = gen_query(
                         class,
                         now_s,
                         origin,
@@ -219,7 +204,7 @@ impl Shard {
                                 resp.est_latency.as_micros()
                             )
                             .expect("writing to a String cannot fail");
-                            done + next_think(&user, now_s, config.diurnal, &mut self.rng)
+                            done + user.think(now_s, config.diurnal, &mut self.rng)
                         }
                         Ok(Outcome::Shed {
                             layer,
@@ -239,13 +224,13 @@ impl Shard {
                             match cause {
                                 ShedCause::Capacity => {
                                     at + Duration::from_micros(
-                                        next_think(&user, now_s, config.diurnal, &mut self.rng)
+                                        user.think(now_s, config.diurnal, &mut self.rng)
                                             .as_micros()
                                             / 2,
                                     )
                                 }
                                 ShedCause::Deadline | ShedCause::Fault => {
-                                    at + next_think(&user, now_s, config.diurnal, &mut self.rng)
+                                    at + user.think(now_s, config.diurnal, &mut self.rng)
                                 }
                             }
                         }
@@ -253,7 +238,7 @@ impl Shard {
                             self.unanswerable += 1;
                             write!(self.line, "{issued};{class:?};U;;0")
                                 .expect("writing to a String cannot fail");
-                            at + next_think(&user, now_s, config.diurnal, &mut self.rng)
+                            at + user.think(now_s, config.diurnal, &mut self.rng)
                         }
                         Err(e) => {
                             self.failed = Some(e);
@@ -277,15 +262,19 @@ impl Shard {
 /// Runs one closed-loop workload against `engine`, sharded by district
 /// onto the city's configured [`f2c_core::Parallelism`] worker threads.
 ///
-/// Semantics follow [`crate::workload::run`] — the same per-class think
-/// times, retry policies, diurnal scaling, flash crowds, background
-/// flush/ingest cadence and transcript line format — but the population
-/// is dealt round-robin across the ten district shards, each user's
-/// queries originate from their home district, and every shard draws
-/// from its own seeded RNG and ledger slice. The report (and every city
-/// observable) is therefore a *different* deterministic run than the
-/// sequential loop's, yet byte-identical to itself at **any** thread
-/// count.
+/// The run opens with a settling flush at `start_s` (stamping the
+/// engine's settled frontier). The steady population is dealt
+/// round-robin across the district shards; flash-crowd members are
+/// dealt round-robin across the shards that hold a steady user, since
+/// only those get a share of the request budget. Each user's queries
+/// originate from their home district, and every shard draws from its
+/// own seeded RNG and admits against its own ledger slice
+/// (`partition_caps`). Shards advance to each flush or ingest
+/// instant, where the coordinator applies the wave, until `requests`
+/// have been issued and the in-flight tail has drained. Flash crowds
+/// join (and leave) as scheduled, and the diurnal curve scales every
+/// think time. The report (and every city observable) is
+/// byte-identical at **any** thread count.
 ///
 /// The per-request transcript numbers requests *per shard* and the
 /// report concatenates shard transcripts in district order;
@@ -294,9 +283,8 @@ impl Shard {
 ///
 /// # Errors
 ///
-/// [`Error::BadQuery`] on a degenerate configuration (exactly as the
-/// sequential loop); hierarchy/network errors from serving or the
-/// background waves.
+/// [`Error::BadQuery`] on a degenerate configuration; hierarchy/network
+/// errors from serving or the background waves.
 pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<WorkloadReport> {
     let crowds = validate(config)?;
     let threads = engine.city().parallelism();
@@ -355,9 +343,8 @@ pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<Workload
         })
         .collect();
 
-    // Deal the steady population round-robin across districts, with the
-    // same arrival staggering as the sequential loop; then the flash
-    // crowds' temporary members.
+    // Deal the steady population round-robin across districts, with
+    // staggered arrivals so users do not tick in lockstep forever.
     let start = SimTime::from_secs(config.start_s);
     for u in 0..config.users {
         let d = (u as usize) % districts;
@@ -373,11 +360,19 @@ pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<Workload
             Ev::Tick(local),
         );
     }
+    // Only shards with a steady user get a share of the request budget
+    // (a crowd-only shard could retire before filling a quota and stall
+    // the run), so crowd members are dealt across those shards alone: a
+    // member on a shard without a quota would never issue.
+    let active: Vec<usize> = (0..districts)
+        .filter(|&d| !shards[d].users.is_empty())
+        .collect();
+    debug_assert!(!active.is_empty(), "validate() guarantees users ≥ 1");
     for crowd in &crowds {
         let arrive = SimTime::from_secs(crowd.start_s.max(config.start_s));
         let leaves = crowd.start_s.saturating_add(crowd.duration_s);
         for i in 0..crowd.users {
-            let d = (i as usize) % districts;
+            let d = active[(i as usize) % active.len()];
             let local = shards[d].users.len() as u32;
             shards[d].users.push(User {
                 class: crowd.class,
@@ -391,13 +386,6 @@ pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<Workload
         }
     }
 
-    // Deal the request budget across shards that have at least one
-    // steady (non-retiring) user — a crowd-only shard could retire
-    // before filling a quota and stall the run.
-    let active: Vec<usize> = (0..districts)
-        .filter(|&d| shards[d].users.iter().any(|u| u.retires_at_s.is_none()))
-        .collect();
-    debug_assert!(!active.is_empty(), "validate() guarantees users ≥ 1");
     let per = config.requests / active.len() as u64;
     let rem = (config.requests % active.len() as u64) as usize;
     for (k, &d) in active.iter().enumerate() {
@@ -482,9 +470,9 @@ pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<Workload
         }
     }
 
-    // Keep the engine's own (sequential) core coherent with what the
-    // run did to the city, so post-run serving and gauge syncs see the
-    // same frontier and epoch the shards saw.
+    // Keep the engine's own core coherent with what the run did to the
+    // city, so post-run serving and gauge syncs see the same frontier
+    // and epoch the shards saw.
     engine_core.last_flush_s = last_flush_s;
     engine_core.extra_epochs += epoch_bumps;
     engine_core.served_frontier_s = engine_core.served_frontier_s.max(
@@ -530,7 +518,9 @@ pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<Workload
     }
 
     // Publish the merged latency distributions into the city's unified
-    // registry, exactly as the sequential loop does.
+    // registry (merged, not moved — the typed report keeps its own
+    // copies), and sync the point-in-time gauges, so a bench export
+    // after the run sees the same series the report prints.
     {
         let m = city.metrics_mut();
         let q = f2c_obs::Labels::new().service("query");
@@ -590,6 +580,7 @@ pub fn run(engine: &mut QueryEngine, config: &WorkloadConfig) -> Result<Workload
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+    use crate::workload::Mix;
     use f2c_core::runtime::populate_city;
     use f2c_core::{F2cCity, Parallelism};
 
@@ -643,7 +634,7 @@ mod tests {
             };
             run(&mut engine, &config).unwrap()
         };
-        let report = run_once(1);
+        let report = run_once(2);
         assert_eq!(report.issued, 400);
         assert_eq!(
             report.answered + report.shed + report.unanswerable,
@@ -651,26 +642,72 @@ mod tests {
         );
         assert!(report.answered > 0, "a warm city must answer something");
         // Same seed, same thread count → byte-identical replay.
-        let replay = run_once(1);
+        let replay = run_once(2);
         assert_eq!(report.transcript, replay.transcript);
         assert_eq!(report.transcript_hash, replay.transcript_hash);
     }
 
     #[test]
     fn degenerate_configs_are_rejected_like_the_sequential_loop() {
-        let mut city = F2cCity::barcelona().unwrap();
-        populate_city(&mut city, 100_000, 3, 1_800, 900).unwrap();
-        let mut engine = QueryEngine::new(city, EngineConfig::default());
+        // A bad config fails validation before any worker starts: the
+        // threaded run rejects it with the same error as the sequential
+        // (`PARALLELISM=1`, inline) loop.
         let bad = WorkloadConfig {
             users: 0,
             ..WorkloadConfig::default()
         };
-        assert!(matches!(
-            run(&mut engine, &bad),
-            Err(Error::BadQuery {
-                field: "workload",
-                ..
-            })
-        ));
+        for threads in [1usize, 4] {
+            let mut city = F2cCity::barcelona().unwrap();
+            city.set_parallelism(Parallelism::new(threads));
+            populate_city(&mut city, 100_000, 3, 1_800, 900).unwrap();
+            let mut engine = QueryEngine::new(city, EngineConfig::default());
+            assert!(
+                matches!(
+                    run(&mut engine, &bad),
+                    Err(Error::BadQuery {
+                        field: "workload",
+                        ..
+                    })
+                ),
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn flash_crowd_members_on_every_quota_shard_issue() {
+        // Two steady users hold quotas on two of the ten district
+        // shards; every member of a 20-user analytics crowd must still
+        // issue. Members think 8–16 s (a capacity retry waits at least
+        // 4 s), so a 3 s visit is exactly one request each.
+        let mut city = F2cCity::barcelona().unwrap();
+        populate_city(&mut city, 50_000, 7, 3_600, 900).unwrap();
+        let mut engine = QueryEngine::new(city, EngineConfig::default());
+        let mut config = WorkloadConfig {
+            requests: 200,
+            users: 2,
+            mix: Mix {
+                dashboard: 0,
+                analytics: 0,
+                realtime: 1,
+                city: 0,
+            },
+            start_s: 3_600,
+            ..WorkloadConfig::default()
+        };
+        config.flash_crowds[0] = Some(FlashCrowd {
+            class: ServiceClass::Analytics,
+            start_s: 3_610,
+            duration_s: 3,
+            users: 20,
+            think_divisor: 1,
+        });
+        let report = run(&mut engine, &config).unwrap();
+        assert_eq!(report.issued, 200);
+        assert_eq!(
+            report.class_stats(ServiceClass::Analytics).requests,
+            20,
+            "every crowd member issues exactly one request"
+        );
     }
 }

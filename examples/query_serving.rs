@@ -9,9 +9,9 @@
 
 use f2c_smartcity::core::runtime::populate_city;
 use f2c_smartcity::core::{F2cCity, Layer};
-use f2c_smartcity::query::workload::{self, ServiceClass, WorkloadConfig};
 use f2c_smartcity::query::{
-    EngineConfig, Outcome, Query, QueryAnswer, QueryEngine, QueryKind, Scope, Selector, TimeWindow,
+    parallel, EngineConfig, Outcome, Query, QueryAnswer, QueryEngine, QueryKind, Scope, Selector,
+    ServiceClass, TimeWindow, WorkloadConfig,
 };
 use f2c_smartcity::sensors::{Category, SensorType};
 
@@ -122,7 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     show("urban city-wide panel", &engine.serve_sync(&citywide, now)?);
 
     // A seeded closed-loop mini-workload over the same engine.
-    let report = workload::run(
+    let report = parallel::run(
         &mut engine,
         &WorkloadConfig {
             seed: 42,

@@ -14,7 +14,9 @@
 use f2c_smartcity::citysim::net::FailurePlan;
 use f2c_smartcity::core::runtime::populate_city;
 use f2c_smartcity::core::{ChaosSite, F2cCity, Parallelism};
-use f2c_smartcity::query::{parallel, EngineConfig, QueryEngine, WorkloadConfig};
+use f2c_smartcity::query::{
+    parallel, DiurnalCurve, EngineConfig, FlashCrowd, QueryEngine, ServiceClass, WorkloadConfig,
+};
 use f2c_smartcity::sensors::wire;
 
 /// Asserts two replica byte streams are identical, reporting the first
@@ -179,8 +181,9 @@ fn shard_replica(config: &WorkloadConfig, threads: usize, storm: bool) -> Vec<u8
 fn sharded_workload_is_thread_count_invariant() {
     // The tentpole conformance sweep, query-serving plane: live flush
     // and ingest barriers, every artifact byte-identical at 1/2/4/8
-    // worker threads.
-    let config = WorkloadConfig {
+    // worker threads — for a flat load, and for a diurnal curve with an
+    // analytics flash crowd dealt across the district shards.
+    let flat = WorkloadConfig {
         seed: 2017,
         requests: 1_200,
         users: 24,
@@ -190,20 +193,44 @@ fn sharded_workload_is_thread_count_invariant() {
         ingest_scale: 5_000,
         ..WorkloadConfig::default()
     };
-    let baseline = shard_replica(&config, 1, false);
-    assert!(
-        baseline.len() > 10_000,
-        "artifact stream suspiciously small ({} bytes)",
-        baseline.len()
-    );
-    for threads in [2usize, 4, 8] {
-        let other = shard_replica(&config, threads, false);
-        assert_byte_identical(
-            &baseline,
-            &other,
-            &format!("sharded workload, threads=1 vs threads={threads}"),
+    let mut shaped = WorkloadConfig {
+        diurnal: Some(DiurnalCurve {
+            period_s: 1_200,
+            trough_milli: 500,
+            peak_milli: 1_800,
+            peak_at_s: 3_600,
+        }),
+        ..flat
+    };
+    shaped.flash_crowds[0] = Some(FlashCrowd {
+        class: ServiceClass::Analytics,
+        start_s: 3_700,
+        duration_s: 120,
+        users: 30,
+        think_divisor: 8,
+    });
+    let mut baselines = Vec::new();
+    for (label, config) in [("flat", flat), ("diurnal+crowd", shaped)] {
+        let baseline = shard_replica(&config, 1, false);
+        assert!(
+            baseline.len() > 10_000,
+            "{label}: artifact stream suspiciously small ({} bytes)",
+            baseline.len()
         );
+        for threads in [2usize, 4, 8] {
+            let other = shard_replica(&config, threads, false);
+            assert_byte_identical(
+                &baseline,
+                &other,
+                &format!("sharded {label} workload, threads=1 vs threads={threads}"),
+            );
+        }
+        baselines.push(baseline);
     }
+    assert_ne!(
+        baselines[0], baselines[1],
+        "the diurnal curve and the crowd must reshape the run"
+    );
 }
 
 #[test]
