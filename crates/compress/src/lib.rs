@@ -13,7 +13,6 @@
 //! * [`huffman`] — length-limited canonical Huffman codes (package-merge),
 //! * [`deflate`] — the combined LZ77+Huffman stream codec,
 //! * [`archive`] — a minimal multi-entry container (the "zip file" role),
-//! * [`ratio`] — compression-ratio bookkeeping used by the experiments,
 //! * [`tsenc`] — the columnar time-series codec the flush path ships
 //!   with: per-column technique probing (raw / delta / delta-of-delta /
 //!   RLE / dict / XOR), a cross-batch sensor dictionary, and a tagged
@@ -41,12 +40,10 @@ pub mod deflate;
 mod error;
 pub mod huffman;
 pub mod lz77;
-pub mod ratio;
 pub mod rle;
 pub mod tsenc;
 
 pub use archive::{Archive, ArchiveEntry, Method};
 pub use deflate::{compress, compress_with, decompress, Level};
 pub use error::{Error, Result};
-pub use ratio::CompressionStats;
 pub use tsenc::{StreamDecoder, StreamEncoder, Technique};

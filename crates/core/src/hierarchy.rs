@@ -76,6 +76,19 @@ impl HealReport {
     }
 }
 
+/// What one [`F2cCity::flush_wave`] shipped.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct FlushWave {
+    /// Table-I accounting bytes shipped fog-1 → fog-2.
+    pub(crate) fog1_bytes: u64,
+    /// Accounting bytes shipped fog-2 → cloud.
+    pub(crate) fog2_bytes: u64,
+    /// Wire-encoded bytes of the fog-1 batches before the codec: what
+    /// the shipped payload is compared against for the compression
+    /// ratio.
+    pub(crate) fog1_wire_bytes: u64,
+}
+
 /// Result of a data fetch.
 #[derive(Debug, Clone)]
 pub struct FetchOutcome {
@@ -360,8 +373,9 @@ impl F2cCity {
         &self.explains
     }
 
-    /// Mutable access to the explain reservoir (the query engine's
-    /// sequential path offers records here directly).
+    /// Mutable access to the explain reservoir, for co-located
+    /// publishers (the query engine offers through its shard scratch,
+    /// absorbed here at barriers).
     pub fn explains_mut(&mut self) -> &mut ExplainStore {
         &mut self.explains
     }
@@ -406,10 +420,9 @@ impl F2cCity {
     /// values that justified it) plus a flight-recorder dump of each
     /// site's most recent spans; the matching
     /// [`IncidentKind::AlertResolved`] lands when the fast window
-    /// clears. [`F2cCity::flush_all`] calls this after every wave, so
-    /// both the sequential and the sharded drivers evaluate on the same
-    /// schedule — alerts are byte-identical artifacts at any thread
-    /// count.
+    /// clears. Every flush wave calls this, so the monitor evaluates on
+    /// the flush schedule at every thread count — alerts are
+    /// byte-identical artifacts.
     pub fn evaluate_alerts(&mut self, now_s: u64) {
         let q = Labels::new().service("query");
         let good = self.metrics.counter_named("query_answered", q).unwrap_or(0);
@@ -526,7 +539,9 @@ impl F2cCity {
         d.min(n - d) as u32
     }
 
-    /// Monotone counter bumped by every [`F2cCity::flush_all`]. Result
+    /// Monotone counter bumped once by every flush wave (every
+    /// [`F2cCity::flush_all`], and every per-hop wave of the paper
+    /// simulation). Result
     /// caches key their entries on it: archives above fog 1 only change
     /// when a flush ships data upward, so an unchanged epoch certifies
     /// that a cached answer is still current.
@@ -880,11 +895,13 @@ impl F2cCity {
         Ok(outcomes)
     }
 
-    /// Flushes every fog-1 node to its parent and every fog-2 node to the
-    /// cloud, shipping over the metered network, then runs one
-    /// [`F2cCity::anti_entropy`] round so coverage holes punched by this
-    /// wave (or carried from earlier ones) start healing immediately.
-    /// Returns the accounting bytes shipped at each tier.
+    /// One flush wave shipping both hops: every fog-1 node to its parent,
+    /// then every fog-2 node to the cloud (so fog 2 relays this wave's
+    /// batches too), over the metered network. Returns the accounting
+    /// bytes shipped at each tier. Every wave bumps the flush epoch
+    /// once, then runs one [`F2cCity::anti_entropy`] round so coverage
+    /// holes punched by this wave (or carried from earlier ones) start
+    /// healing immediately, and evaluates the alerts.
     ///
     /// Every hop first passes the chaos gate: a crashed child skips its
     /// turn, an unreachable parent or a lost shipment defers the whole
@@ -900,16 +917,42 @@ impl F2cCity {
     /// coin per district in parallel, then folds into the cloud at the
     /// coordinator. Both phases merge in canonical district order, and
     /// sections are district-contiguous, so the byte streams (traces,
-    /// incidents, meter, snapshots) are those of the sequential
+    /// incidents, meter, snapshots) are those of a single-threaded
     /// section-order loop at every thread count.
     ///
     /// # Errors
     ///
     /// Network or compression failures (first in district order).
     pub fn flush_all(&mut self, now_s: u64) -> Result<(u64, u64)> {
+        let wave = self.flush_wave(now_s, true, true)?;
+        Ok((wave.fog1_bytes, wave.fog2_bytes))
+    }
+
+    /// [`F2cCity::flush_all`] shipping only the selected hops — `fog1`
+    /// (fog-1 → fog-2) first, then `fog2` (fog-2 → cloud) — so each
+    /// tier can follow its own [`FlushPolicy`] schedule. Whatever it
+    /// ships, the wave bumps the epoch once and runs anti-entropy and
+    /// the alert evaluation.
+    pub(crate) fn flush_wave(&mut self, now_s: u64, fog1: bool, fog2: bool) -> Result<FlushWave> {
         self.flush_epoch += 1;
         self.metrics.inc(self.ids.flush_waves);
-        let now_us = now_s * 1_000_000;
+        let mut wave = FlushWave::default();
+        if fog1 {
+            (wave.fog1_bytes, wave.fog1_wire_bytes) = self.ship_fog1_hop(now_s)?;
+        }
+        if fog2 {
+            wave.fog2_bytes = self.ship_fog2_hop(now_s)?;
+        }
+        self.anti_entropy(now_s);
+        // Every flush instant is also an alert evaluation instant, so the
+        // burn-rate monitor sees one schedule at every thread count.
+        self.evaluate_alerts(now_s);
+        Ok(wave)
+    }
+
+    /// Phase A of a wave: every fog-1 node ships to its fog-2 parent.
+    /// Returns the accounting and wire bytes of the shipped batches.
+    fn ship_fog1_hop(&mut self, now_s: u64) -> Result<(u64, u64)> {
         let epoch = self.flush_epoch;
         let threads = self.parallelism;
         // Phase A: one shard per district, owning the district's fog-1
@@ -932,6 +975,7 @@ impl F2cCity {
                 obs,
                 ids,
                 bytes: 0,
+                wire_bytes: 0,
                 capture: self.capture_shipments,
                 err: None,
             });
@@ -941,25 +985,35 @@ impl F2cCity {
             shard.run(city, catalog, epoch, now_s);
         });
         // Drop the node borrows, then absorb in district order.
-        let results: Vec<(ObsScratch, u64, Option<Error>)> = shards
+        let results: Vec<(ObsScratch, u64, u64, Option<Error>)> = shards
             .into_iter()
-            .map(|s| (s.obs, s.bytes, s.err))
+            .map(|s| (s.obs, s.bytes, s.wire_bytes, s.err))
             .collect();
-        let mut fog1_bytes = 0;
+        let (mut acct_bytes, mut wire_bytes) = (0, 0);
         let mut first_err: Option<Error> = None;
-        for (mut obs, bytes, err) in results {
+        for (mut obs, bytes, wire, err) in results {
             self.absorb_scratch(&mut obs);
-            fog1_bytes += bytes;
+            acct_bytes += bytes;
+            wire_bytes += wire;
             if first_err.is_none() {
                 first_err = err;
             }
         }
-        if let Some(e) = first_err {
-            return Err(e);
+        match first_err {
+            Some(e) => Err(e),
+            None => Ok((acct_bytes, wire_bytes)),
         }
-        // Phase B: gate + flush + corruption coin per district in
-        // parallel; the cloud-side fold runs at the coordinator, in
-        // district order.
+    }
+
+    /// Phase B of a wave: every fog-2 node ships to the cloud, then the
+    /// cloud compacts its sketch ledger. Gate + flush + corruption coin
+    /// run per district in parallel; the cloud-side fold runs at the
+    /// coordinator, in district order. Returns the accounting bytes
+    /// shipped.
+    fn ship_fog2_hop(&mut self, now_s: u64) -> Result<u64> {
+        let now_us = now_s * 1_000_000;
+        let epoch = self.flush_epoch;
+        let threads = self.parallelism;
         let city = &self.city;
         let catalog = &self.catalog;
         let mut cloud_shards: Vec<CloudShard<'_>> = self
@@ -1061,12 +1115,7 @@ impl F2cCity {
         let compact = self.tracer.open(cloud_site, "sketch-compact", now_us);
         self.cloud.compact_sketches(now_s);
         self.tracer.close(compact, now_us);
-        self.anti_entropy(now_s);
-        // Every flush instant is also an alert evaluation instant: both
-        // the sequential and the sharded drivers flush on the same event
-        // clock, so the burn-rate monitor sees one schedule everywhere.
-        self.evaluate_alerts(now_s);
-        Ok((fog1_bytes, fog2_bytes))
+        Ok(fog2_bytes)
     }
 
     /// One anti-entropy round: every coverage hole in the fog-2 and
@@ -1085,8 +1134,7 @@ impl F2cCity {
     /// the bucket away can only retire with the watermark. Re-shipments
     /// are metered on the network and on the sketch channel.
     ///
-    /// [`F2cCity::flush_all`] runs a round after every wave; with no
-    /// holes it is a no-op.
+    /// Every flush wave ends with a round; with no holes it is a no-op.
     pub fn anti_entropy(&mut self, now_s: u64) -> HealReport {
         let at = SimTime::from_secs(now_s);
         let now_us = now_s * 1_000_000;
@@ -1309,6 +1357,12 @@ impl F2cCity {
     pub fn network_bytes(&self) -> u64 {
         self.city.network().meter().total_bytes()
     }
+
+    /// The Barcelona topology and its metered network, for drivers in
+    /// this crate that read per-link meters.
+    pub(crate) fn topology(&self) -> &BarcelonaTopology {
+        &self.city
+    }
 }
 
 /// Gate one flush hop through the chaos plane. `Some(kind)` means the
@@ -1376,6 +1430,8 @@ struct FlushShard<'a> {
     obs: ObsScratch,
     ids: CityMetricIds,
     bytes: u64,
+    /// Wire-encoded bytes of the shipped batches, before the codec.
+    wire_bytes: u64,
     /// Whether the city's shipment tap is on.
     capture: bool,
     err: Option<Error>,
@@ -1434,6 +1490,7 @@ impl FlushShard<'_> {
                 continue;
             }
             self.bytes += batch.acct_bytes;
+            self.wire_bytes += batch.wire_bytes;
             let hop = self.obs.tracer.open(site, "flush-hop", now_us);
             let sent = net.send_scratch(
                 &mut self.obs.net,

@@ -1,18 +1,21 @@
-//! The event-driven F2C simulation: synthetic Sentilo waves flow into 73
-//! fog-1 nodes, climb to 10 fog-2 nodes and then the cloud, with
-//! aggregation and compression applied per the flush policies. Its traffic
-//! accounting cross-validates the analytic [`crate::traffic::TrafficModel`]
-//! at a configurable population scale.
+//! The event-driven F2C simulation: synthetic Sentilo waves flow into the
+//! 73 fog-1 nodes of an [`F2cCity`], climb to its 10 fog-2 nodes and then
+//! the cloud, with aggregation and compression applied per the flush
+//! policies. Every experiment drives the same write path that ships:
+//! chaos gate, `tsenc` payloads with mirror-decode verification, the
+//! metrics registry and tracing. One private event loop serves both
+//! [`simulate`], whose traffic accounting cross-validates the analytic
+//! [`crate::traffic::TrafficModel`] at a configurable population scale,
+//! and [`populate_city`], the warm-up of the query-serving benches.
 
 use std::collections::BTreeMap;
 
-use citysim::barcelona::{BarcelonaTopology, LatencyProfile, DISTRICTS};
+use citysim::barcelona::LatencyProfile;
 use citysim::event::EventQueue;
 use citysim::time::SimTime;
-use scc_sensors::{wire, Catalog, Category, Reading, ReadingGenerator, SensorType};
+use scc_sensors::{Catalog, Category, ReadingGenerator, SensorType};
 
 use crate::hierarchy::F2cCity;
-use crate::node::F2cNode;
 use crate::policy::{FlushPolicy, RetentionPolicy};
 use crate::{Error, Result};
 
@@ -82,10 +85,6 @@ pub struct CategoryTraffic {
     pub raw: u64,
     /// Bytes surviving fog-1 aggregation (accounting sizes).
     pub after_dedup: u64,
-    /// Wire-encoded size of the shipped batches.
-    pub wire: u64,
-    /// Compressed size of the shipped batches.
-    pub compressed: u64,
 }
 
 /// What one simulated run measured.
@@ -107,7 +106,8 @@ pub struct SimReport {
     pub fog2_uplink_acct_bytes: u64,
     /// Wire bytes of fog-1 uplink batches (before compression).
     pub fog1_uplink_wire_bytes: u64,
-    /// Compressed bytes of fog-1 uplink batches (0 when not compressing).
+    /// Shipped `tsenc` payload bytes of fog-1 uplink batches (0 when the
+    /// fog-1 policy does not compress).
     pub fog1_uplink_compressed_bytes: u64,
     /// Per-category breakdown.
     pub per_category: BTreeMap<Category, CategoryTraffic>,
@@ -131,7 +131,8 @@ impl SimReport {
         }
     }
 
-    /// Measured compression ratio on the shipped batches.
+    /// Measured compression ratio on the shipped fog-1 batches: payload
+    /// bytes over wire-encoded bytes.
     pub fn compression_ratio(&self) -> f64 {
         if self.fog1_uplink_wire_bytes == 0 || self.fog1_uplink_compressed_bytes == 0 {
             1.0
@@ -165,17 +166,13 @@ impl SimReport {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    /// All sensors of this type report (wave `k`).
-    Wave(SensorType),
-    /// Fog-1 node `i` flushes to its parent.
-    FlushFog1(usize),
-    /// Fog-2 node `d` flushes to the cloud.
-    FlushFog2(usize),
-}
-
-/// Runs the F2C architecture over one simulated horizon.
+/// Runs the F2C architecture over one simulated horizon on a fresh
+/// [`F2cCity`] built from the configured profile and flush policies
+/// (fog-1 retention one day). Each hop flushes on its own policy's
+/// [`FlushPolicy::next_flush_at`] chain; with `drain_at_end` a final
+/// wave ships both hops at the horizon. The report reads the city's
+/// flush counters, link meters and cloud archive, so every figure is
+/// measured on the write path that ships.
 ///
 /// # Errors
 ///
@@ -196,161 +193,54 @@ enum Event {
 /// ```
 pub fn simulate(config: SimConfig) -> Result<SimReport> {
     let config = config.validated()?;
-    let catalog = Catalog::barcelona();
-    let scaled = catalog.scaled_down(config.scale);
-    let mut city = BarcelonaTopology::build(&config.profile);
+    let mut city = F2cCity::new(
+        &config.profile,
+        config.fog1_flush,
+        config.fog2_flush,
+        RetentionPolicy::keep(86_400),
+    )?;
+    simulate_on(&mut city, &config)
+}
 
-    // --- nodes ----------------------------------------------------------
-    let mut fog1_nodes: Vec<F2cNode> = Vec::with_capacity(73);
-    {
-        let mut section_global = 0u16;
-        for (d, (_, sections)) in DISTRICTS.iter().enumerate() {
-            for _ in 0..*sections {
-                fog1_nodes.push(F2cNode::fog1(
-                    d as u16,
-                    section_global,
-                    config.fog1_flush,
-                    RetentionPolicy::keep(86_400),
-                )?);
-                section_global += 1;
-            }
-        }
-    }
-    let mut fog2_nodes: Vec<F2cNode> = (0..DISTRICTS.len())
-        .map(|d| {
-            F2cNode::fog2(
-                d as u16,
-                config.fog2_flush,
-                RetentionPolicy::keep(7 * 86_400),
-            )
-        })
-        .collect::<Result<_>>()?;
-    let mut cloud = F2cNode::cloud();
-
-    // --- sensor assignment: split each type's population over sections ---
-    let mut generators = section_generators(&scaled, config.seed);
-
-    // --- event schedule ---------------------------------------------------
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    for spec in scaled.iter() {
-        let interval = spec.tx_interval_secs();
-        let mut t = interval;
-        while t <= config.horizon_s as f64 {
-            queue.schedule_at(
-                SimTime::from_micros((t * 1e6) as u64),
-                Event::Wave(spec.sensor_type()),
-            );
-            t += interval;
-        }
-    }
-    for i in 0..fog1_nodes.len() {
-        let mut t = config.fog1_flush.next_flush_at(0);
-        while t <= config.horizon_s {
-            queue.schedule_at(SimTime::from_secs(t), Event::FlushFog1(i));
-            t = config.fog1_flush.next_flush_at(t);
-        }
-    }
-    for d in 0..fog2_nodes.len() {
-        let mut t = config.fog2_flush.next_flush_at(0);
-        while t <= config.horizon_s {
-            queue.schedule_at(SimTime::from_secs(t), Event::FlushFog2(d));
-            t = config.fog2_flush.next_flush_at(t);
-        }
-    }
-
-    // --- run ---------------------------------------------------------------
+/// [`simulate`] on an assembled city (built with `config`'s policies).
+fn simulate_on(city: &mut F2cCity, config: &SimConfig) -> Result<SimReport> {
+    let run = drive(
+        city,
+        config.scale,
+        config.seed,
+        config.horizon_s,
+        [config.fog1_flush, config.fog2_flush],
+        config.drain_at_end,
+    )?;
+    let (fog1_uplink_acct_bytes, fog2_uplink_acct_bytes) = city.raw_flush_bytes();
     let mut report = SimReport {
         scale: config.scale,
         horizon_s: config.horizon_s,
+        generated_readings: run.offered,
+        stored_after_dedup: run.stored,
+        raw_acct_bytes: run.per_category.values().map(|c| c.raw).sum(),
+        fog1_uplink_acct_bytes,
+        fog2_uplink_acct_bytes,
+        fog1_uplink_wire_bytes: run.fog1_wire_bytes,
+        fog1_uplink_compressed_bytes: if config.fog1_flush.compress {
+            city.uplink_flush_bytes().0
+        } else {
+            0
+        },
+        per_category: run.per_category,
+        cloud_records: city.cloud().store().len() as u64,
         ..SimReport::default()
     };
-    for c in Category::ALL {
-        report.per_category.insert(c, CategoryTraffic::default());
-    }
-
-    while let Some((at, event)) = queue.pop() {
-        let now_s = at.as_secs();
-        match event {
-            Event::Wave(ty) => {
-                let category = ty.category();
-                for (section, per_section) in generators.iter_mut().enumerate() {
-                    if let Some(gen) = per_section.get_mut(&ty) {
-                        let readings = gen.wave(now_s);
-                        let outcome = fog1_nodes[section].ingest_wave(readings, now_s, &catalog)?;
-                        report.generated_readings += outcome.offered;
-                        report.stored_after_dedup += outcome.stored;
-                        report.raw_acct_bytes += outcome.raw_bytes;
-                        let ct = report.per_category.get_mut(&category).expect("prefilled");
-                        ct.raw += outcome.raw_bytes;
-                        ct.after_dedup += outcome.kept_bytes;
-                    }
-                }
-            }
-            Event::FlushFog1(i) => {
-                flush_fog1(
-                    i,
-                    now_s,
-                    &catalog,
-                    &config,
-                    &mut fog1_nodes,
-                    &mut fog2_nodes,
-                    &mut city,
-                    &mut report,
-                )?;
-            }
-            Event::FlushFog2(d) => {
-                flush_fog2(
-                    d,
-                    now_s,
-                    &catalog,
-                    &mut fog2_nodes,
-                    &mut cloud,
-                    &mut city,
-                    &mut report,
-                )?;
-            }
-        }
-    }
-
-    // Final drain so conservation holds end-to-end.
-    if config.drain_at_end {
-        for i in 0..fog1_nodes.len() {
-            flush_fog1(
-                i,
-                config.horizon_s,
-                &catalog,
-                &config,
-                &mut fog1_nodes,
-                &mut fog2_nodes,
-                &mut city,
-                &mut report,
-            )?;
-        }
-        for d in 0..fog2_nodes.len() {
-            flush_fog2(
-                d,
-                config.horizon_s,
-                &catalog,
-                &mut fog2_nodes,
-                &mut cloud,
-                &mut city,
-                &mut report,
-            )?;
-        }
-    }
-
-    report.cloud_records = cloud.store().len() as u64;
 
     // Read the meters: fog1→fog2 links vs fog2→cloud links.
-    let net = city.network();
-    let cloud_node = city.cloud();
+    let topology = city.topology();
+    let net = topology.network();
+    let cloud_node = topology.cloud();
     let mut fog2_cloud = 0u64;
-    for d in 0..city.fog2_nodes().len() {
-        let f2 = city.fog2_nodes()[d];
+    for &f2 in topology.fog2_nodes() {
         for &(peer, link) in net.topology().neighbors(f2) {
-            let t = net.meter().link_traffic(link);
             if peer == cloud_node {
-                fog2_cloud += t.bytes;
+                fog2_cloud += net.meter().link_traffic(link).bytes;
             }
         }
     }
@@ -358,6 +248,105 @@ pub fn simulate(config: SimConfig) -> Result<SimReport> {
     report.network_fog1_fog2_bytes = net.meter().total_bytes() - fog2_cloud;
     report.hourly_network_bytes = net.meter().hourly_bytes().clone();
     Ok(report)
+}
+
+/// What one run of the event loop ingested and shipped.
+#[derive(Default)]
+struct DriveOutcome {
+    /// Readings offered by the sensors.
+    offered: u64,
+    /// Records stored at fog 1 after acquisition.
+    stored: u64,
+    /// Raw and kept accounting bytes per category.
+    per_category: BTreeMap<Category, CategoryTraffic>,
+    /// Flush waves run, the settling wave included.
+    waves: u64,
+    /// Wire-encoded bytes of the shipped fog-1 batches.
+    fog1_wire_bytes: u64,
+}
+
+/// The one write-path event loop behind [`simulate`] and
+/// [`populate_city`]: every catalog type's waves at its Table-I
+/// interval (population divided by `scale`) over `horizon_s`, plus one flush wave at each instant of the
+/// two hops' `schedules` (fog 1, fog 2) that ships exactly the hops whose
+/// [`FlushPolicy::next_flush_at`] chain lands there. With `settle`, a
+/// last wave at the horizon ships both hops, so fog 2 and the cloud hold
+/// everything ingested. Waves run before flushes at the same instant.
+fn drive(
+    city: &mut F2cCity,
+    scale: u64,
+    seed: u64,
+    horizon_s: u64,
+    schedules: [FlushPolicy; 2],
+    settle: bool,
+) -> Result<DriveOutcome> {
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Event {
+        /// All sensors of this type report.
+        Wave(SensorType),
+        /// A flush wave shipping the marked hops (fog 1, fog 2).
+        Flush([bool; 2]),
+    }
+    let scaled = city.catalog().scaled_down(scale);
+    let mut generators = section_generators(&scaled, seed);
+    let mut queue: EventQueue<Event> = EventQueue::new();
+    for spec in scaled.iter() {
+        let interval = spec.tx_interval_secs();
+        let mut t = interval;
+        while t <= horizon_s as f64 {
+            queue.schedule_at(
+                SimTime::from_micros((t * 1e6) as u64),
+                Event::Wave(spec.sensor_type()),
+            );
+            t += interval;
+        }
+    }
+    let mut flushes: BTreeMap<u64, [bool; 2]> = BTreeMap::new();
+    for (hop, policy) in schedules.iter().enumerate() {
+        let mut t = policy.next_flush_at(0);
+        while t <= horizon_s {
+            flushes.entry(t).or_default()[hop] = true;
+            t = policy.next_flush_at(t);
+        }
+    }
+    for (t, hops) in flushes {
+        queue.schedule_at(SimTime::from_secs(t), Event::Flush(hops));
+    }
+    if settle {
+        // Scheduled last, so it pops after every other event at the
+        // horizon.
+        queue.schedule_at(SimTime::from_secs(horizon_s), Event::Flush([true, true]));
+    }
+
+    let mut out = DriveOutcome {
+        per_category: Category::ALL
+            .into_iter()
+            .map(|c| (c, CategoryTraffic::default()))
+            .collect(),
+        ..DriveOutcome::default()
+    };
+    while let Some((at, event)) = queue.pop() {
+        let now_s = at.as_secs();
+        match event {
+            Event::Wave(ty) => {
+                for (section, per_section) in generators.iter_mut().enumerate() {
+                    if let Some(gen) = per_section.get_mut(&ty) {
+                        let ingest = city.ingest(section, gen.wave(now_s), now_s)?;
+                        out.offered += ingest.offered;
+                        out.stored += ingest.stored;
+                        let ct = out.per_category.get_mut(&ty.category()).expect("prefilled");
+                        ct.raw += ingest.raw_bytes;
+                        ct.after_dedup += ingest.kept_bytes;
+                    }
+                }
+            }
+            Event::Flush([fog1, fog2]) => {
+                out.fog1_wire_bytes += city.flush_wave(now_s, fog1, fog2)?.fog1_wire_bytes;
+                out.waves += 1;
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// Deterministic mixing hash (splitmix64 finalizer) used to spread
@@ -463,135 +452,26 @@ pub fn populate_city(
             reason: "must be positive",
         });
     }
-    let scaled = city.catalog().scaled_down(scale);
-    let mut generators = section_generators(&scaled, seed);
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Warmup {
-        Wave(SensorType),
-        Flush,
-    }
-    let mut queue: EventQueue<Warmup> = EventQueue::new();
-    for spec in scaled.iter() {
-        let interval = spec.tx_interval_secs();
-        let mut t = interval;
-        while t <= horizon_s as f64 {
-            queue.schedule_at(
-                SimTime::from_micros((t * 1e6) as u64),
-                Warmup::Wave(spec.sensor_type()),
-            );
-            t += interval;
-        }
-    }
-    let mut t = flush_period_s;
-    while t <= horizon_s {
-        queue.schedule_at(SimTime::from_secs(t), Warmup::Flush);
-        t += flush_period_s;
-    }
-
-    let mut outcome = PopulateOutcome::default();
-    while let Some((at, event)) = queue.pop() {
-        let now_s = at.as_secs();
-        match event {
-            Warmup::Wave(ty) => {
-                for (section, per_section) in generators.iter_mut().enumerate() {
-                    if let Some(gen) = per_section.get_mut(&ty) {
-                        let readings = gen.wave(now_s);
-                        let ingest = city.ingest(section, readings, now_s)?;
-                        outcome.offered += ingest.offered;
-                        outcome.stored += ingest.stored;
-                    }
-                }
-            }
-            Warmup::Flush => {
-                city.flush_all(now_s)?;
-                outcome.flushes += 1;
-            }
-        }
-    }
-    city.flush_all(horizon_s)?;
-    outcome.flushes += 1;
-    Ok(outcome)
+    let every_period = FlushPolicy::plain(flush_period_s);
+    let run = drive(
+        city,
+        scale,
+        seed,
+        horizon_s,
+        [every_period, every_period],
+        true,
+    )?;
+    Ok(PopulateOutcome {
+        offered: run.offered,
+        stored: run.stored,
+        flushes: run.waves,
+    })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn flush_fog1(
-    i: usize,
-    now_s: u64,
-    catalog: &Catalog,
-    config: &SimConfig,
-    fog1_nodes: &mut [F2cNode],
-    fog2_nodes: &mut [F2cNode],
-    city: &mut BarcelonaTopology,
-    report: &mut SimReport,
-) -> Result<()> {
-    let batch = fog1_nodes[i].flush(now_s, catalog)?;
-    // The sketch shipment reaches the parent even for empty batches
-    // (idle sections still seal) — same invariant as F2cCity::flush_all.
-    let district = city.district_of(i);
-    fog2_nodes[district].receive_sketches(&batch.sketches, &batch.seals, &batch.holes);
-    if batch.records.is_empty() {
-        return Ok(());
-    }
-    report.fog1_uplink_acct_bytes += batch.acct_bytes;
-    report.fog1_uplink_wire_bytes += batch.wire_bytes;
-    if let Some(c) = batch.compressed_bytes {
-        report.fog1_uplink_compressed_bytes += c;
-    }
-    // Per-category wire/compressed accounting.
-    let mut by_cat: BTreeMap<Category, Vec<Reading>> = BTreeMap::new();
-    for rec in &batch.records {
-        by_cat
-            .entry(rec.sensor_type().category())
-            .or_default()
-            .push(rec.reading().clone());
-    }
-    for (cat, readings) in by_cat {
-        let encoded = wire::encode_batch(&readings);
-        let ct = report.per_category.get_mut(&cat).expect("prefilled");
-        ct.wire += encoded.len() as u64;
-        if config.fog1_flush.compress {
-            ct.compressed += f2c_compress::compress(&encoded)?.len() as u64;
-        }
-    }
-    // Ship over the network: what crosses the wire is the compressed batch
-    // when compression is on, the accounting bytes otherwise.
-    let shipped = batch.uplink_bytes();
-    let from = city.fog1_nodes()[i];
-    let to = city.parent_of(i);
-    city.network_mut()
-        .send(from, to, shipped, SimTime::from_secs(now_s))?;
-    fog2_nodes[district].receive(batch.records, now_s);
-    Ok(())
-}
-
-fn flush_fog2(
-    d: usize,
-    now_s: u64,
-    catalog: &Catalog,
-    fog2_nodes: &mut [F2cNode],
-    cloud: &mut F2cNode,
-    city: &mut BarcelonaTopology,
-    report: &mut SimReport,
-) -> Result<()> {
-    let batch = fog2_nodes[d].flush(now_s, catalog)?;
-    cloud.receive_sketches(&batch.sketches, &batch.seals, &batch.holes);
-    if batch.records.is_empty() {
-        return Ok(());
-    }
-    report.fog2_uplink_acct_bytes += batch.acct_bytes;
-    let from = city.fog2_nodes()[d];
-    let to = city.cloud();
-    city.network_mut()
-        .send(from, to, batch.uplink_bytes(), SimTime::from_secs(now_s))?;
-    cloud.receive(batch.records, now_s);
-    Ok(())
-}
-
-/// Runs the paper's ablation: the same day with a different fog-1 flush
-/// period, returning `(period_s, peak flush bytes on one uplink)` — used
-/// by the E6 experiment to show how the flush period trades peak traffic
-/// for data freshness upstream.
+/// Runs the paper's ablation: six simulated hours with a different fog-1
+/// flush period, returning `(period_s, average bytes per fog-1 flush on
+/// one uplink)` — used by the E6 experiment to show how the flush period
+/// trades batch size for data freshness upstream.
 pub fn flush_period_ablation(periods_s: &[u64], scale: u64) -> Result<Vec<(u64, u64)>> {
     let mut out = Vec::with_capacity(periods_s.len());
     for &period in periods_s {
@@ -603,7 +483,7 @@ pub fn flush_period_ablation(periods_s: &[u64], scale: u64) -> Result<Vec<(u64, 
             ..FlushPolicy::paper_fog1()
         };
         let report = simulate(config)?;
-        // Peak per-flush bytes ≈ uplink bytes / number of flushes.
+        // Average per-flush bytes: uplink bytes / number of flushes.
         let flushes = (6 * 3600 / period).max(1) * 73;
         let avg_per_flush = report
             .fog1_uplink_compressed_bytes
@@ -617,7 +497,9 @@ pub fn flush_period_ablation(periods_s: &[u64], scale: u64) -> Result<Vec<(u64, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::Parallelism;
     use crate::traffic::TrafficModel;
+    use citysim::barcelona::DISTRICTS;
 
     fn small_config() -> SimConfig {
         // 1/2500 scale (~400 sensors). Smaller populations leave many
@@ -695,6 +577,33 @@ mod tests {
             "metered fog1->fog2 bytes match compressed shipments"
         );
         assert!(report.network_fog2_cloud_bytes > 0);
+    }
+
+    #[test]
+    fn simulation_is_identical_at_every_thread_count() {
+        // The paper simulation runs sharded flush waves: its report and
+        // every shipped payload must not depend on the worker count.
+        let config = small_config().validated().unwrap();
+        let run = |threads: usize| {
+            let mut city = F2cCity::new(
+                &config.profile,
+                config.fog1_flush,
+                config.fog2_flush,
+                RetentionPolicy::keep(86_400),
+            )
+            .unwrap();
+            city.set_parallelism(Parallelism::new(threads));
+            city.set_capture_shipments(true);
+            let report = simulate_on(&mut city, &config).unwrap();
+            (format!("{report:?}"), city.take_shipment_log())
+        };
+        let (report1, log1) = run(1);
+        assert!(!log1.is_empty(), "compressed fog-1 shipments are captured");
+        for threads in [2, 4, 8] {
+            let (report, log) = run(threads);
+            assert_eq!(report, report1, "SimReport at {threads} threads");
+            assert!(log == log1, "shipment log at {threads} threads");
+        }
     }
 
     #[test]

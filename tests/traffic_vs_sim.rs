@@ -77,11 +77,11 @@ fn per_category_dedup_rates_match_table1() {
 
 #[test]
 fn compression_ratio_improves_with_batch_size() {
-    // Scaled-down simulations ship tiny flush batches, which compress
-    // poorly (per-stream headers, cold Huffman tables). The ratio must
-    // improve monotonically as populations (hence batches) grow — at full
-    // scale (~1.2 MB per flush) it reaches the paper's zip class, which
-    // `f2c-bench`'s E3 harness measures directly on full-size batches.
+    // Scaled-down simulations ship tiny flush batches, which encode
+    // poorly: the tsenc frame (magic, mode, column headers, CRC) is
+    // spread over few readings, and every sensor's first shipment
+    // carries its full id into the stream dictionary. The ratio must
+    // improve monotonically as populations (hence batches) grow.
     let ratio_at = |scale: u64| {
         let mut c = SimConfig::paper_scaled();
         c.scale = scale;
