@@ -189,21 +189,12 @@ impl FailurePlan {
         in_any(self.node_outages.get(&node), at)
     }
 
-    /// Draws the loss coin for one message on `link`: a keyed hash of
-    /// `(seed, link, per-link message sequence)`, so the verdict for the
-    /// n-th message of a link is fixed per seed no matter how sends on
-    /// other links interleave.
-    pub fn drops(&mut self, link: LinkId) -> bool {
-        let n = self.seq.entry(link).or_insert(0);
-        let seq = *n;
-        *n += 1;
-        self.loss_verdict(link, seq)
-    }
-
-    /// The loss verdict for the `seq`-th message ever sent on `link` —
-    /// the pure function behind [`FailurePlan::drops`]. Sharded senders
-    /// draw against an explicit sequence (base + their local count) so a
-    /// read-only phase can toss coins without mutating the plan.
+    /// The loss verdict for the `seq`-th message ever sent on `link`: a
+    /// keyed hash of `(seed, link, seq)`, so the verdict for the n-th
+    /// message of a link is fixed per seed no matter how sends on other
+    /// links interleave. Senders draw against an explicit sequence
+    /// ([`FailurePlan::loss_seq`] plus their local count) so a read-only
+    /// phase can toss coins without mutating the plan.
     pub fn loss_verdict(&self, link: LinkId, seq: u64) -> bool {
         match self.loss.get(&link) {
             Some(&p) => coin(
@@ -219,8 +210,8 @@ impl FailurePlan {
         self.seq.get(&link).copied().unwrap_or(0)
     }
 
-    /// Advances `link`'s loss-coin sequence by `n` draws — how a shard's
-    /// buffered sends are folded back into the plan at a barrier.
+    /// Advances `link`'s loss-coin sequence by `n` draws — how buffered
+    /// sends are folded back into the plan.
     pub fn advance_loss_seq(&mut self, link: LinkId, n: u64) {
         if n > 0 {
             *self.seq.entry(link).or_insert(0) += n;
@@ -372,7 +363,7 @@ mod tests {
         let (_, l) = one_link();
         let mut p = FailurePlan::with_seed(7);
         p.set_loss(l, 0.25);
-        let dropped = (0..10_000).filter(|_| p.drops(l)).count();
+        let dropped = (0..10_000).filter(|&seq| p.loss_verdict(l, seq)).count();
         assert!((2000..3000).contains(&dropped), "dropped {dropped}/10000");
     }
 
@@ -383,8 +374,8 @@ mod tests {
         let mut p2 = FailurePlan::with_seed(3);
         p1.set_loss(l, 0.5);
         p2.set_loss(l, 0.5);
-        for _ in 0..100 {
-            assert_eq!(p1.drops(l), p2.drops(l));
+        for seq in 0..100 {
+            assert_eq!(p1.loss_verdict(l, seq), p2.loss_verdict(l, seq));
         }
     }
 
@@ -393,21 +384,16 @@ mod tests {
         // The satellite fix: the n-th message of a link gets the same
         // verdict whether or not other links' sends interleave.
         let (_, l1, l2) = two_links();
-        let mut sequential = FailurePlan::with_seed(11);
-        sequential.set_loss(l1, 0.4);
-        sequential.set_loss(l2, 0.4);
-        let alone: Vec<bool> = (0..200).map(|_| sequential.drops(l1)).collect();
-
-        let mut interleaved = FailurePlan::with_seed(11);
-        interleaved.set_loss(l1, 0.4);
-        interleaved.set_loss(l2, 0.4);
+        let mut plan = FailurePlan::with_seed(11);
+        plan.set_loss(l1, 0.4);
+        plan.set_loss(l2, 0.4);
+        let alone: Vec<bool> = (0..200).map(|seq| plan.loss_verdict(l1, seq)).collect();
         let mut mixed = Vec::new();
         for i in 0..200 {
             // Unrelated traffic on l2, interleaved unevenly.
-            for _ in 0..(i % 3) {
-                interleaved.drops(l2);
-            }
-            mixed.push(interleaved.drops(l1));
+            plan.advance_loss_seq(l2, i % 3);
+            mixed.push(plan.loss_verdict(l1, plan.loss_seq(l1)));
+            plan.advance_loss_seq(l1, 1);
         }
         assert_eq!(alone, mixed, "l2 traffic must not perturb l1 verdicts");
     }
@@ -476,7 +462,7 @@ mod tests {
         p.set_loss(l, 0.9);
         p.set_loss(l, 0.0);
         assert!(p.is_trivial());
-        assert!(!p.drops(l));
+        assert!(!p.loss_verdict(l, 0));
     }
 
     #[test]

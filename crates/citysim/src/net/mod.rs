@@ -24,16 +24,15 @@ use std::collections::HashMap;
 use crate::time::{Duration, SimTime};
 use crate::{Error, Result};
 
-/// Buffered network effects of one shard's read-only phase.
+/// Buffered network effects of sends made against a shared `&Network`.
 ///
-/// A sharded runtime serves queries and ships flush hops against a
-/// shared `&Network`; everything a send would normally mutate — traffic
-/// meters and per-link loss-coin sequences — lands here instead, and
-/// [`Network::absorb_scratch`] replays it at the next barrier in the
-/// coordinator's canonical shard order. Per-link sequences are drawn as
-/// `base + local count`, where `base` is the plan's counter at first use,
-/// so a shard's verdicts are a pure function of the plan plus its own
-/// send order.
+/// Everything a send mutates — traffic meters and per-link loss-coin
+/// sequences — lands here, and [`Network::absorb_scratch`] replays it.
+/// Per-link sequences are drawn as `base + local count`, where `base` is
+/// the plan's counter at first use, so verdicts are a pure function of
+/// the plan plus the scratch's own send order. [`Network::send`] runs
+/// one send through a fresh scratch; a sharded runtime keeps one per
+/// shard and absorbs them at barriers in canonical shard order.
 #[derive(Debug, Default)]
 pub struct NetScratch {
     /// Metering events in send order: `(link, src, dst, bytes, at)`.
@@ -46,16 +45,6 @@ impl NetScratch {
     /// An empty scratch.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Whether nothing has been buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.seq.is_empty()
-    }
-
-    /// Buffered metering events.
-    pub fn event_count(&self) -> usize {
-        self.events.len()
     }
 }
 
@@ -155,7 +144,8 @@ impl Network {
     /// The transfer is store-and-forward: each hop adds its propagation
     /// latency plus `bytes / bandwidth` serialization delay. Bytes are
     /// metered on every traversed link even if a later hop fails (the
-    /// traffic was already on the wire).
+    /// traffic was already on the wire). This is the scratch path
+    /// ([`Network::send_scratch`]) absorbed immediately.
     ///
     /// # Errors
     ///
@@ -163,37 +153,23 @@ impl Network {
     /// * [`Error::LinkDown`] if a hop's link is in an outage window,
     /// * [`Error::MessageLost`] if injected packet loss drops the message.
     pub fn send(&mut self, from: NodeId, to: NodeId, bytes: u64, now: SimTime) -> Result<Delivery> {
-        let path = self.topo.route(from, to)?;
-        let mut at = now;
-        let mut path_latency = Duration::ZERO;
-        for (hop_index, &link_id) in path.iter().enumerate() {
-            let link = self.topo.link(link_id);
-            let (a, b) = self.topo.link_endpoints(link_id);
-            if self.failures.is_down(link_id, at) {
-                return Err(Error::LinkDown { a, b, at });
-            }
-            // The message reaches the link before the loss coin is tossed,
-            // so meter it first: lost traffic still loaded the network.
-            self.meter.record(link_id, a, b, bytes, at);
-            if self.failures.drops(link_id) {
-                return Err(Error::MessageLost { a, b });
-            }
-            let hop_time = link.latency() + link.transfer_time(bytes);
-            at += hop_time;
-            path_latency += link.latency();
-            let _ = hop_index;
-        }
-        Ok(Delivery {
-            arrival: at,
-            hops: path.len(),
-            path_latency,
-        })
+        self.absorbed(|net, scratch| net.send_scratch(scratch, from, to, bytes, now))
+    }
+
+    /// Runs one scratch-path operation and absorbs its scratch at once:
+    /// every direct send takes the same path a sharded one does.
+    fn absorbed<T>(&mut self, op: impl FnOnce(&Self, &mut NetScratch) -> T) -> T {
+        let mut scratch = NetScratch::new();
+        let out = op(self, &mut scratch);
+        self.absorb_scratch(&mut scratch);
+        out
     }
 
     /// [`Network::send`] against `&self`: meter records and loss-coin
-    /// draws go to `scratch` instead of mutating the network. A shard
-    /// replaying the same sends through the same scratch gets the same
-    /// verdicts [`Network::send`] would have produced sequentially.
+    /// draws go to `scratch` instead of mutating the network. Loss
+    /// verdicts are keyed by per-link sequence numbers, so any number of
+    /// sends through one scratch, absorbed once, get the verdicts and
+    /// meters the same sends would have produced one by one.
     ///
     /// # Errors
     ///
@@ -215,6 +191,8 @@ impl Network {
             if self.failures.is_down(link_id, at) {
                 return Err(Error::LinkDown { a, b, at });
             }
+            // The message reaches the link before the loss coin is tossed,
+            // so meter it first: lost traffic still loaded the network.
             scratch.events.push((link_id, a, b, bytes, at));
             let entry = scratch
                 .seq
@@ -258,17 +236,16 @@ impl Network {
         })
     }
 
-    /// Folds a shard's buffered sends back into the network: meter events
-    /// replay in their send order and each link's loss-coin counter jumps
-    /// by the draws made. Called at barriers in canonical shard order, so
-    /// the merged meter and sequences are schedule-independent.
+    /// Folds buffered sends back into the network: meter events replay in
+    /// their send order and each link's loss-coin counter jumps by the
+    /// draws made. Sharded callers absorb at barriers in canonical shard
+    /// order, so the merged meter and sequences are schedule-independent.
     pub fn absorb_scratch(&mut self, scratch: &mut NetScratch) {
         for (link, a, b, bytes, at) in scratch.events.drain(..) {
             self.meter.record(link, a, b, bytes, at);
         }
-        let mut seqs: Vec<(LinkId, (u64, u64))> = scratch.seq.drain().collect();
-        seqs.sort_by_key(|(link, _)| link.index());
-        for (link, (_, drawn)) in seqs {
+        // Per-link advances commute, so the drain order cannot matter.
+        for (link, (_, drawn)) in scratch.seq.drain() {
             self.failures.advance_loss_seq(link, drawn);
         }
     }
@@ -283,12 +260,8 @@ impl Network {
         response_bytes: u64,
         now: SimTime,
     ) -> Result<Delivery> {
-        let there = self.send(from, to, request_bytes, now)?;
-        let back = self.send(to, from, response_bytes, there.arrival)?;
-        Ok(Delivery {
-            arrival: back.arrival,
-            hops: there.hops + back.hops,
-            path_latency: there.path_latency + back.path_latency,
+        self.absorbed(|net, scratch| {
+            net.request_response_scratch(scratch, from, to, request_bytes, response_bytes, now)
         })
     }
 }
@@ -356,6 +329,45 @@ mod tests {
             net.send(a, ghost, 1, SimTime::ZERO),
             Err(Error::UnknownNode { .. })
         ));
+    }
+
+    #[test]
+    fn one_scratch_absorbed_once_equals_direct_sends() {
+        // Both links drop 30%; one- and two-hop sends in both directions
+        // interleave on them.
+        let (mut direct, a, b, c) = line3();
+        let route = direct.topology().route(a, c).unwrap();
+        let mut plan = FailurePlan::with_seed(29);
+        route.iter().for_each(|&l| plan.set_loss(l, 0.3));
+        direct.set_failures(plan.clone());
+        let mut buffered = Network::new(direct.topology().clone());
+        buffered.set_failures(plan);
+        let mut scratch = NetScratch::new();
+        let delivered: Vec<bool> = (0..200)
+            .map(|i| {
+                let n = [a, b, c];
+                let (from, to, bytes) = (n[i % 3], n[(i + 1 + i / 3 % 2) % 3], 100 + i as u64);
+                let at = SimTime::from_secs(bytes * 400);
+                let sent = direct.send(from, to, bytes, at);
+                assert_eq!(
+                    sent,
+                    buffered.send_scratch(&mut scratch, from, to, bytes, at)
+                );
+                sent.is_ok()
+            })
+            .collect();
+        buffered.absorb_scratch(&mut scratch);
+        assert!(delivered.contains(&true) && delivered.contains(&false));
+        assert_eq!(
+            format!("{:?}", direct.meter()),
+            format!("{:?}", buffered.meter())
+        );
+        for l in route {
+            assert_eq!(
+                direct.failures().loss_seq(l),
+                buffered.failures().loss_seq(l)
+            );
+        }
     }
 
     #[test]

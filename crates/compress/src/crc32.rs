@@ -1,8 +1,8 @@
 //! CRC-32 (IEEE 802.3, the polynomial used by zip/gzip/PNG).
 //!
-//! The archive container stores a CRC-32 of every entry and the deflate-style
-//! stream stores one for its whole payload, so corrupted or truncated data is
-//! detected on decode rather than silently propagated into the experiments.
+//! The deflate-style stream and the `tsenc` flush codec each store a CRC-32
+//! of their payload, so corrupted or truncated data is detected on decode
+//! rather than silently propagated into the experiments.
 
 /// Reflected CRC-32 polynomial (IEEE 802.3).
 const POLY: u32 = 0xEDB8_8320;

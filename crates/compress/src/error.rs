@@ -48,11 +48,6 @@ pub enum Error {
         /// Maximum size the decoder was willing to produce.
         limit: u64,
     },
-    /// An archive entry name was duplicated or empty.
-    BadEntryName {
-        /// The offending name.
-        name: String,
-    },
     /// A run-length-encoded stream was truncated mid-run.
     TruncatedRun,
     /// A structurally invalid `tsenc` stream: internal framing that
@@ -93,9 +88,6 @@ impl fmt::Display for Error {
                 f,
                 "declared payload size {declared} exceeds decoder limit {limit}"
             ),
-            Error::BadEntryName { name } => {
-                write!(f, "invalid archive entry name {name:?}")
-            }
             Error::TruncatedRun => write!(f, "run-length stream truncated mid-run"),
             Error::Malformed { reason, offset } => {
                 write!(f, "malformed stream at byte {offset}: {reason}")
@@ -128,9 +120,6 @@ mod tests {
             Error::SizeLimitExceeded {
                 declared: 10,
                 limit: 5,
-            },
-            Error::BadEntryName {
-                name: String::new(),
             },
             Error::TruncatedRun,
             Error::Malformed {

@@ -12,7 +12,6 @@
 //! * [`lz77`] — hash-chain LZ77 tokenizer with lazy matching,
 //! * [`huffman`] — length-limited canonical Huffman codes (package-merge),
 //! * [`deflate`] — the combined LZ77+Huffman stream codec,
-//! * [`archive`] — a minimal multi-entry container (the "zip file" role),
 //! * [`tsenc`] — the columnar time-series codec the flush path ships
 //!   with: per-column technique probing (raw / delta / delta-of-delta /
 //!   RLE / dict / XOR), a cross-batch sensor dictionary, and a tagged
@@ -33,7 +32,6 @@
 //! The stream format is *not* zlib/zip compatible (the experiment only needs
 //! the ratio class, not interoperability); see [`deflate`] for the layout.
 
-pub mod archive;
 pub mod bitio;
 pub mod crc32;
 pub mod deflate;
@@ -43,7 +41,6 @@ pub mod lz77;
 pub mod rle;
 pub mod tsenc;
 
-pub use archive::{Archive, ArchiveEntry, Method};
 pub use deflate::{compress, compress_with, decompress, Level};
 pub use error::{Error, Result};
 pub use tsenc::{StreamDecoder, StreamEncoder, Technique};

@@ -1,9 +1,9 @@
 //! Byte-oriented run-length encoding.
 //!
 //! RLE is the cheapest of the "data compression" techniques the paper's §V.A
-//! taxonomy admits. It serves two roles here: a baseline codec the benches
-//! compare against deflate, and the codec the archive container offers for
-//! incompressible-but-runny payloads (e.g. zero-padded fixed-width records).
+//! taxonomy admits. It serves here as a baseline codec to compare against
+//! deflate on incompressible-but-runny payloads (e.g. zero-padded
+//! fixed-width records).
 //!
 //! # Format
 //!

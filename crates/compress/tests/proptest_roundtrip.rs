@@ -2,7 +2,7 @@
 //! bijection on arbitrary byte vectors, and decoding must never panic on
 //! arbitrary (mostly invalid) input.
 
-use f2c_compress::{compress_with, decompress, lz77, rle, Archive, Level, Method};
+use f2c_compress::{compress_with, decompress, lz77, rle, Level};
 use proptest::prelude::*;
 
 proptest! {
@@ -60,32 +60,6 @@ proptest! {
     #[test]
     fn rle_decode_never_panics_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..512)) {
         let _ = rle::decode(&data);
-    }
-
-    #[test]
-    fn archive_parse_never_panics_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = Archive::from_bytes(&data);
-    }
-
-    #[test]
-    fn archive_roundtrips_entries(
-        entries in proptest::collection::vec(
-            ("[a-z]{1,12}", proptest::collection::vec(any::<u8>(), 0..1024)),
-            0..8
-        )
-    ) {
-        let mut ar = Archive::new();
-        let mut added = std::collections::BTreeMap::new();
-        for (name, data) in entries {
-            if ar.add(&name, &data, Method::Deflate).is_ok() {
-                added.insert(name, data);
-            }
-        }
-        let back = Archive::from_bytes(&ar.to_bytes()).unwrap();
-        prop_assert_eq!(back.len(), added.len());
-        for (name, data) in added {
-            prop_assert_eq!(back.entry(&name).unwrap().extract().unwrap(), data);
-        }
     }
 
     #[test]

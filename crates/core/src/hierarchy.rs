@@ -11,7 +11,7 @@ use citysim::{NetScratch, Network, NodeId};
 use f2c_aggregate::sketch::SketchKey;
 use f2c_obs::{
     AlertTransition, BurnRateMonitor, CounterId, ExemplarStore, ExplainStore, Labels,
-    MetricsRegistry, Site, SloSpec, Tracer,
+    MetricsRegistry, Site, SloSpec, SpanToken, Tracer,
 };
 use scc_dlc::DataRecord;
 use scc_sensors::{wire, Catalog, Reading, SensorType};
@@ -73,6 +73,12 @@ impl HealReport {
     /// Whether every hole seen this round was healed.
     pub fn clean(&self) -> bool {
         self.blocked == 0 && self.impossible == 0
+    }
+
+    fn merge(&mut self, other: HealReport) {
+        self.healed += other.healed;
+        self.blocked += other.blocked;
+        self.impossible += other.impossible;
     }
 }
 
@@ -320,7 +326,7 @@ impl F2cCity {
     /// Adds a crash window for a site's node to the installed failure
     /// plan, without callers having to know simulated-network node ids.
     pub fn inject_node_outage(&mut self, site: ChaosSite, from_s: u64, until_s: u64) {
-        let node = self.site_node(site);
+        let node = site_node(&self.city, site);
         self.city.network_mut().failures_mut().add_node_outage(
             node,
             SimTime::from_secs(from_s),
@@ -463,21 +469,12 @@ impl F2cCity {
         }
     }
 
-    /// The simulated network node hosting a site.
-    fn site_node(&self, site: ChaosSite) -> NodeId {
-        match site {
-            ChaosSite::Fog1(s) => self.city.fog1_nodes()[s],
-            ChaosSite::Fog2(d) => self.city.fog2_nodes()[d],
-            ChaosSite::Cloud => self.city.cloud(),
-        }
-    }
-
     /// Whether a site's node sits inside an injected crash window.
     pub fn site_is_down(&self, site: ChaosSite, now_s: u64) -> bool {
         self.city
             .network()
             .failures()
-            .node_is_down(self.site_node(site), SimTime::from_secs(now_s))
+            .node_is_down(site_node(&self.city, site), SimTime::from_secs(now_s))
     }
 
     /// Whether a planned serve of `source` to a consumer at `section`
@@ -488,19 +485,11 @@ impl F2cCity {
         let at = SimTime::from_secs(now_s);
         let requester = self.city.fog1_nodes()[section];
         let net = self.city.network();
-        let source_node = match source {
-            // Local serves (and a warm-sketch merge at the requester's
-            // own ledger) only need the requester itself alive.
-            DataSource::Local => return !net.failures().node_is_down(requester, at),
-            DataSource::WarmSketch(s) if s == section => {
-                return !net.failures().node_is_down(requester, at)
-            }
-            DataSource::Neighbor(n) | DataSource::WarmSketch(n) => self.city.fog1_nodes()[n],
-            DataSource::Parent => self.city.fog2_nodes()[self.city.district_of(section)],
-            DataSource::RemoteFog2(d) => self.city.fog2_nodes()[d],
-            DataSource::Cloud => self.city.cloud(),
-        };
-        net.path_is_up(requester, source_node, at)
+        match self.source_node(section, source) {
+            // Serves that never leave the requester only need it alive.
+            None => !net.failures().node_is_down(requester, at),
+            Some(source_node) => net.path_is_up(requester, source_node, at),
+        }
     }
 
     /// Whether one scatter-gather leg is reachable from the gather node
@@ -508,11 +497,9 @@ impl F2cCity {
     pub fn leg_available(&self, section: usize, leg: FanoutLeg, now_s: u64) -> bool {
         let at = SimTime::from_secs(now_s);
         let gather = self.city.fog2_nodes()[self.city.district_of(section)];
-        let node = match leg {
-            FanoutLeg::Fog1(s) => self.city.fog1_nodes()[s],
-            FanoutLeg::Fog2(d) => self.city.fog2_nodes()[d],
-        };
-        self.city.network().path_is_up(gather, node, at)
+        self.city
+            .network()
+            .path_is_up(gather, self.leg_node(leg), at)
     }
 
     /// District of a section (0..73 → 0..10).
@@ -585,7 +572,9 @@ impl F2cCity {
 
     /// Meters one consumer request/response on the simulated network:
     /// `request_bytes` from `section`'s fog-1 node to the `source`, and
-    /// `response_bytes` back. Local serves never touch the network.
+    /// `response_bytes` back. Local serves never touch the network. The
+    /// scratch path ([`F2cCity::meter_query_scratch`]) absorbed
+    /// immediately.
     ///
     /// # Errors
     ///
@@ -598,26 +587,17 @@ impl F2cCity {
         response_bytes: u64,
         now_s: u64,
     ) -> Result<()> {
-        let requester = self.city.fog1_nodes()[section];
-        let source_node = match source {
-            DataSource::Local => return Ok(()),
-            // A warm-sketch merge at the requester's own node is free;
-            // a neighbor's ledger pays the same ring hop a raw neighbor
-            // read would.
-            DataSource::WarmSketch(s) if s == section => return Ok(()),
-            DataSource::Neighbor(n) | DataSource::WarmSketch(n) => self.city.fog1_nodes()[n],
-            DataSource::Parent => self.city.fog2_nodes()[self.city.district_of(section)],
-            DataSource::RemoteFog2(d) => self.city.fog2_nodes()[d],
-            DataSource::Cloud => self.city.cloud(),
-        };
-        self.city.network_mut().request_response(
-            requester,
-            source_node,
+        let mut net = NetScratch::new();
+        let metered = self.meter_query_scratch(
+            &mut net,
+            section,
+            source,
             request_bytes,
             response_bytes,
-            SimTime::from_secs(now_s),
-        )?;
-        Ok(())
+            now_s,
+        );
+        self.city.network_mut().absorb_scratch(&mut net);
+        metered
     }
 
     /// Meters one scatter-gather execution on the simulated network: a
@@ -625,6 +605,8 @@ impl F2cCity {
     /// fog-2) to every leg with each leg's partial result shipped back,
     /// then the merged `response_bytes` delivered over the last
     /// fog-2 → fog-1 hop. Legs colocated with the gather node are free.
+    /// The scratch path ([`F2cCity::meter_fanout_scratch`]) absorbed
+    /// immediately.
     ///
     /// # Errors
     ///
@@ -637,37 +619,46 @@ impl F2cCity {
         response_bytes: u64,
         now_s: u64,
     ) -> Result<()> {
-        let gather_district = self.city.district_of(section);
-        let gather = self.city.fog2_nodes()[gather_district];
-        let at = SimTime::from_secs(now_s);
-        for &(leg, leg_bytes) in legs {
-            let node = match leg {
-                FanoutLeg::Fog1(s) => self.city.fog1_nodes()[s],
-                FanoutLeg::Fog2(d) => self.city.fog2_nodes()[d],
-            };
-            if node == gather {
-                continue;
-            }
-            self.city
-                .network_mut()
-                .request_response(gather, node, request_bytes, leg_bytes, at)?;
-        }
-        let requester = self.city.fog1_nodes()[section];
-        self.city.network_mut().request_response(
-            requester,
-            gather,
+        let mut net = NetScratch::new();
+        let metered = self.meter_fanout_scratch(
+            &mut net,
+            section,
+            legs,
             request_bytes,
             response_bytes,
-            at,
-        )?;
-        Ok(())
+            now_s,
+        );
+        self.city.network_mut().absorb_scratch(&mut net);
+        metered
     }
 
-    /// [`F2cCity::meter_query`] against a shard's [`NetScratch`]: same
-    /// routing, metering and loss verdicts, but the traffic and the
-    /// loss-coin draws are buffered in the scratch until the coordinator
-    /// absorbs it at a barrier. Takes `&self`, so shards can meter
-    /// concurrently against the shared network snapshot.
+    /// The network node serving `source` to a consumer at `section`, or
+    /// `None` when the serve never leaves the requester: a local read,
+    /// or a warm-sketch merge at its own ledger (a neighbor's ledger
+    /// pays the same ring hop a raw neighbor read would).
+    fn source_node(&self, section: usize, source: DataSource) -> Option<NodeId> {
+        match source {
+            DataSource::Local => None,
+            DataSource::WarmSketch(s) if s == section => None,
+            DataSource::Neighbor(n) | DataSource::WarmSketch(n) => Some(self.city.fog1_nodes()[n]),
+            DataSource::Parent => Some(self.city.fog2_nodes()[self.city.district_of(section)]),
+            DataSource::RemoteFog2(d) => Some(self.city.fog2_nodes()[d]),
+            DataSource::Cloud => Some(self.city.cloud()),
+        }
+    }
+
+    /// The network node hosting one scatter-gather leg.
+    fn leg_node(&self, leg: FanoutLeg) -> NodeId {
+        match leg {
+            FanoutLeg::Fog1(s) => self.city.fog1_nodes()[s],
+            FanoutLeg::Fog2(d) => self.city.fog2_nodes()[d],
+        }
+    }
+
+    /// [`F2cCity::meter_query`] against a shard's [`NetScratch`]: the
+    /// traffic and the loss-coin draws are buffered in the scratch until
+    /// the coordinator absorbs it at a barrier. Takes `&self`, so shards
+    /// can meter concurrently against the shared network snapshot.
     ///
     /// # Errors
     ///
@@ -681,18 +672,12 @@ impl F2cCity {
         response_bytes: u64,
         now_s: u64,
     ) -> Result<()> {
-        let requester = self.city.fog1_nodes()[section];
-        let source_node = match source {
-            DataSource::Local => return Ok(()),
-            DataSource::WarmSketch(s) if s == section => return Ok(()),
-            DataSource::Neighbor(n) | DataSource::WarmSketch(n) => self.city.fog1_nodes()[n],
-            DataSource::Parent => self.city.fog2_nodes()[self.city.district_of(section)],
-            DataSource::RemoteFog2(d) => self.city.fog2_nodes()[d],
-            DataSource::Cloud => self.city.cloud(),
+        let Some(source_node) = self.source_node(section, source) else {
+            return Ok(());
         };
         self.city.network().request_response_scratch(
             net,
-            requester,
+            self.city.fog1_nodes()[section],
             source_node,
             request_bytes,
             response_bytes,
@@ -716,14 +701,10 @@ impl F2cCity {
         response_bytes: u64,
         now_s: u64,
     ) -> Result<()> {
-        let gather_district = self.city.district_of(section);
-        let gather = self.city.fog2_nodes()[gather_district];
+        let gather = self.city.fog2_nodes()[self.city.district_of(section)];
         let at = SimTime::from_secs(now_s);
         for &(leg, leg_bytes) in legs {
-            let node = match leg {
-                FanoutLeg::Fog1(s) => self.city.fog1_nodes()[s],
-                FanoutLeg::Fog2(d) => self.city.fog2_nodes()[d],
-            };
+            let node = self.leg_node(leg);
             if node == gather {
                 continue;
             }
@@ -910,15 +891,18 @@ impl F2cCity {
     /// encoded partial in flight, punching a coverage hole at the
     /// receiver. Each gate verdict lands on the incident timeline.
     ///
-    /// The wave runs sharded by district on [`F2cCity::parallelism`]
-    /// workers: phase A (fog-1 → fog-2) is fully district-local and each
-    /// shard buffers its metering, spans and incidents in an
-    /// [`ObsScratch`]; phase B gates, flushes and draws the corruption
-    /// coin per district in parallel, then folds into the cloud at the
-    /// coordinator. Both phases merge in canonical district order, and
-    /// sections are district-contiguous, so the byte streams (traces,
-    /// incidents, meter, snapshots) are those of a single-threaded
-    /// section-order loop at every thread count.
+    /// Both hops run the same code: `prepare` at the sender (chaos gate,
+    /// `flush()`, corruption coin) and `deliver` at the receiver, which
+    /// buffers metering, spans and incidents in an [`ObsScratch`]. The
+    /// wave runs sharded by district on [`F2cCity::parallelism`]
+    /// workers: phase A (fog-1 → fog-2) is fully district-local, so each
+    /// shard runs both halves; phase B prepares per district in parallel
+    /// and delivers to the cloud at the coordinator, into one scratch.
+    /// Scratches merge in canonical district order, and sections are
+    /// district-contiguous, so the byte streams (traces, incidents,
+    /// meter, snapshots) are those of a single-threaded section-order
+    /// loop at every thread count. A failed hop still closes its
+    /// receiver's `flush-wave` span.
     ///
     /// # Errors
     ///
@@ -951,12 +935,23 @@ impl F2cCity {
     }
 
     /// Phase A of a wave: every fog-1 node ships to its fog-2 parent.
-    /// Returns the accounting and wire bytes of the shipped batches.
+    /// One shard per district owns the district's fog-1 slice and its
+    /// fog-2 node, and runs [`prepare`] then [`Wave::deliver`] per member
+    /// in section order. Returns the accounting and wire bytes of the
+    /// shipped batches.
     fn ship_fog1_hop(&mut self, now_s: u64) -> Result<(u64, u64)> {
+        struct FlushShard<'a> {
+            /// Global section index of `fog1[0]` (sections are
+            /// district-contiguous).
+            base: usize,
+            fog1: &'a mut [F2cNode],
+            fog2: &'a mut F2cNode,
+            obs: ObsScratch,
+            bytes: (u64, u64),
+            err: Option<Error>,
+        }
         let epoch = self.flush_epoch;
-        let threads = self.parallelism;
-        // Phase A: one shard per district, owning the district's fog-1
-        // slice and its fog-2 node.
+        let capture = self.capture_shipments;
         let city = &self.city;
         let catalog = &self.catalog;
         let mut rest: &mut [F2cNode] = &mut self.fog1;
@@ -965,35 +960,38 @@ impl F2cCity {
         for (d, fog2) in self.fog2.iter_mut().enumerate() {
             let (head, tail) = rest.split_at_mut(DISTRICTS[d].1);
             rest = tail;
-            let mut obs = ObsScratch::new();
-            let ids = CityMetricIds::register(&mut obs.reg);
             shards.push(FlushShard {
-                district: d,
                 base,
                 fog1: head,
                 fog2,
-                obs,
-                ids,
-                bytes: 0,
-                wire_bytes: 0,
-                capture: self.capture_shipments,
+                obs: ObsScratch::new(),
+                bytes: (0, 0),
                 err: None,
             });
             base += DISTRICTS[d].1;
         }
-        run_shards(threads, &mut shards, |_, shard| {
-            shard.run(city, catalog, epoch, now_s);
+        run_shards(self.parallelism, &mut shards, |d, shard| {
+            let mut wave = Wave::open(&mut shard.obs, ChaosSite::Fog2(d), capture, now_s);
+            for (k, child) in shard.fog1.iter_mut().enumerate() {
+                let sender = ChaosSite::Fog1(shard.base + k);
+                let prep = prepare(city, catalog, child, sender, wave.receiver, epoch, now_s);
+                if let Err(e) = wave.deliver(&mut shard.obs, city, shard.fog2, sender, prep) {
+                    shard.err = Some(e);
+                    break;
+                }
+            }
+            shard.bytes = wave.close(&mut shard.obs);
         });
         // Drop the node borrows, then absorb in district order.
-        let results: Vec<(ObsScratch, u64, u64, Option<Error>)> = shards
+        let results: Vec<(ObsScratch, (u64, u64), Option<Error>)> = shards
             .into_iter()
-            .map(|s| (s.obs, s.bytes, s.wire_bytes, s.err))
+            .map(|s| (s.obs, s.bytes, s.err))
             .collect();
         let (mut acct_bytes, mut wire_bytes) = (0, 0);
         let mut first_err: Option<Error> = None;
-        for (mut obs, bytes, wire, err) in results {
+        for (mut obs, (acct, wire), err) in results {
             self.absorb_scratch(&mut obs);
-            acct_bytes += bytes;
+            acct_bytes += acct;
             wire_bytes += wire;
             if first_err.is_none() {
                 first_err = err;
@@ -1006,113 +1004,50 @@ impl F2cCity {
     }
 
     /// Phase B of a wave: every fog-2 node ships to the cloud, then the
-    /// cloud compacts its sketch ledger. Gate + flush + corruption coin
-    /// run per district in parallel; the cloud-side fold runs at the
-    /// coordinator, in district order. Returns the accounting bytes
-    /// shipped.
+    /// cloud compacts its sketch ledger. [`prepare`] (gate, flush,
+    /// corruption coin) runs per district in parallel; the cloud has one
+    /// receiver, so [`Wave::deliver`] runs at the coordinator, in
+    /// district order, into one scratch that is absorbed before the
+    /// compaction. Returns the accounting bytes shipped.
     fn ship_fog2_hop(&mut self, now_s: u64) -> Result<u64> {
-        let now_us = now_s * 1_000_000;
         let epoch = self.flush_epoch;
-        let threads = self.parallelism;
         let city = &self.city;
         let catalog = &self.catalog;
-        let mut cloud_shards: Vec<CloudShard<'_>> = self
-            .fog2
-            .iter_mut()
-            .enumerate()
-            .map(|(d, fog2)| CloudShard {
-                district: d,
+        let mut shards: Vec<(&mut F2cNode, Option<HopPrep>)> =
+            self.fog2.iter_mut().map(|fog2| (fog2, None)).collect();
+        run_shards(self.parallelism, &mut shards, |d, (fog2, prep)| {
+            let sender = ChaosSite::Fog2(d);
+            *prep = Some(prepare(
+                city,
+                catalog,
                 fog2,
-                prep: None,
-            })
-            .collect();
-        run_shards(threads, &mut cloud_shards, |_, shard| {
-            shard.run(city, catalog, epoch, now_s);
+                sender,
+                ChaosSite::Cloud,
+                epoch,
+                now_s,
+            ));
         });
-        let preps: Vec<CloudPrep> = cloud_shards
+        let preps: Vec<HopPrep> = shards
             .into_iter()
-            .map(|s| s.prep.expect("cloud shard ran"))
+            .map(|(_, prep)| prep.expect("prepare ran"))
             .collect();
-        let cloud_site = Site::cloud();
-        let cloud_wave = self.tracer.open(cloud_site, "flush-wave", now_us);
-        let mut cloud_wave_end_us = now_us;
-        let mut cloud_shipped = 0u64;
-        let mut fog2_bytes = 0;
+        let mut obs = ObsScratch::new();
+        let mut wave = Wave::open(&mut obs, ChaosSite::Cloud, self.capture_shipments, now_s);
+        let mut delivered = Ok(());
         for (d, prep) in preps.into_iter().enumerate() {
-            let (batch, corrupted) = match prep {
-                CloudPrep::Skip(kind) => {
-                    self.record_incident(now_s, ChaosSite::Fog2(d), kind);
-                    continue;
-                }
-                CloudPrep::Failed(e) => return Err(e),
-                CloudPrep::Ship { batch, corrupted } => (batch, corrupted),
-            };
-            if let Some(key) = corrupted {
-                self.record_incident(
-                    now_s,
-                    ChaosSite::Cloud,
-                    IncidentKind::SketchCorrupted { key },
-                );
-                self.record_incident(now_s, ChaosSite::Cloud, IncidentKind::HolePunched { key });
+            delivered = wave.deliver(&mut obs, city, &mut self.cloud, ChaosSite::Fog2(d), prep);
+            if delivered.is_err() {
+                break;
             }
-            self.metrics
-                .add(self.ids.sketch_flush_bytes[1], batch.sketch_bytes);
-            self.metrics
-                .add(self.ids.raw_flush_bytes[1], batch.acct_bytes);
-            // Holes relayed from below punch again at the cloud.
-            for &key in &batch.holes {
-                self.record_incident(now_s, ChaosSite::Cloud, IncidentKind::HolePunched { key });
-            }
-            let fold = self.tracer.open(cloud_site, "sketch-fold", now_us);
-            self.cloud
-                .receive_sketches(&batch.sketches, &batch.seals, &batch.holes);
-            self.tracer
-                .close_with(fold, now_us, batch.sketches.len() as u64);
-            if batch.records.is_empty() {
-                continue;
-            }
-            fog2_bytes += batch.acct_bytes;
-            let from = self.city.fog2_nodes()[d];
-            let to = self.city.cloud();
-            let hop = self.tracer.open(cloud_site, "flush-hop", now_us);
-            let sent = self.city.network_mut().send(
-                from,
-                to,
-                batch.uplink_bytes(),
-                SimTime::from_secs(now_s),
-            );
-            let arrival_us = match &sent {
-                Ok(delivery) => delivery.arrival.as_micros(),
-                Err(_) => now_us,
-            };
-            self.tracer.close_with(hop, arrival_us, batch.acct_bytes);
-            sent?;
-            cloud_wave_end_us = cloud_wave_end_us.max(arrival_us);
-            cloud_shipped += 1;
-            self.metrics
-                .add(self.ids.uplink_flush_bytes[1], batch.uplink_bytes());
-            if self.capture_shipments {
-                if let Some(payload) = batch.payload.clone() {
-                    let readings: Vec<Reading> =
-                        batch.records.iter().map(|r| r.reading().clone()).collect();
-                    self.shipment_log.push(ShipmentRecord {
-                        hop: 2,
-                        origin: d as u16,
-                        at_s: now_s,
-                        payload,
-                        wire: wire::encode_batch(&readings),
-                    });
-                }
-            }
-            self.cloud
-                .receive_flush(d as u16, batch.payload.as_deref(), batch.records, now_s)?;
         }
-        self.tracer
-            .close_with(cloud_wave, cloud_wave_end_us, cloud_shipped);
+        let (fog2_bytes, _) = wave.close(&mut obs);
+        self.absorb_scratch(&mut obs);
+        delivered?;
         // The cloud never flushes (no parent), so the wave runs its
         // sketch-horizon compaction here — otherwise its ledger and hole
         // set would grow for the lifetime of the deployment.
-        let compact = self.tracer.open(cloud_site, "sketch-compact", now_us);
+        let now_us = now_s * 1_000_000;
+        let compact = self.tracer.open(Site::cloud(), "sketch-compact", now_us);
         self.cloud.compact_sketches(now_s);
         self.tracer.close(compact, now_us);
         Ok(fog2_bytes)
@@ -1123,121 +1058,72 @@ impl F2cCity {
     /// seal advanced past without a surviving fold — is healed by a
     /// targeted re-shipment of the shipper's authoritative ledger entry.
     ///
-    /// Phase 1 heals each fog-2 from the fog-1 shippers below it; phase
-    /// 2 heals the cloud from the fog-2 tier, so a district healed in
-    /// phase 1 can serve as a source in the same round. A heal
+    /// Both phases run `heal_receiver`. Phase 1 heals each fog-2 from
+    /// the fog-1 shippers below it, one shard per district; phase 2 heals
+    /// the cloud from the fog-2 tier at the coordinator, so a district
+    /// healed in phase 1 can serve as a source in the same round. A heal
     /// *replaces* the receiver's entry (the shipper's ledger is the full
-    /// fold for its section, merging a fragment would double-count) and
-    /// drops any relay still queued for the key (the full fold subsumes
-    /// it). Holes whose source is crashed, unreachable, or itself still
-    /// holed carry to the next round; holes whose source has compacted
-    /// the bucket away can only retire with the watermark. Re-shipments
-    /// are metered on the network and on the sketch channel.
+    /// fold for its section, merging a fragment would double-count).
+    /// After phase 2 every healed key's fog-2 drops the relay still
+    /// queued for it (the full fold subsumes it). Holes whose source is
+    /// crashed, unreachable, or itself still holed carry to the next
+    /// round; holes whose source has compacted the bucket away can only
+    /// retire with the watermark. Re-shipments are metered on the
+    /// network and on the sketch channel.
     ///
     /// Every flush wave ends with a round; with no holes it is a no-op.
     pub fn anti_entropy(&mut self, now_s: u64) -> HealReport {
-        let at = SimTime::from_secs(now_s);
-        let now_us = now_s * 1_000_000;
-        let mut report = HealReport::default();
-        // Phase 1, one shard per district: each fog-2 heals from the
-        // fog-1 shippers below it. The shard only reads the fog-1 tier
-        // (shared snapshot) and mutates its own fog-2 node; relay links
-        // are district-local, so the scratch loss-coin draws are exactly
-        // the sequential ones.
-        let threads = self.parallelism;
+        // Phase 1: each shard only reads the fog-1 tier (shared snapshot)
+        // and mutates its own fog-2 node; relay links are district-local,
+        // so the scratch loss-coin draws are exactly the sequential ones.
         let city = &self.city;
         let fog1: &[F2cNode] = &self.fog1;
-        let mut shards: Vec<HealShard<'_>> = self
+        let mut shards: Vec<(&mut F2cNode, ObsScratch, HealReport)> = self
             .fog2
             .iter_mut()
-            .enumerate()
-            .map(|(d, fog2)| {
-                let mut obs = ObsScratch::new();
-                let ids = CityMetricIds::register(&mut obs.reg);
-                HealShard {
-                    district: d,
-                    fog2,
-                    obs,
-                    ids,
-                    report: HealReport::default(),
-                }
-            })
+            .map(|fog2| (fog2, ObsScratch::new(), HealReport::default()))
             .collect();
-        run_shards(threads, &mut shards, |_, shard| {
-            shard.run(city, fog1, now_s);
+        run_shards(self.parallelism, &mut shards, |d, (fog2, obs, report)| {
+            let source = |key: &SketchKey| {
+                let s = key.section as usize;
+                (&fog1[s], city.fog1_nodes()[s])
+            };
+            // Only fog 2 queues relays, so phase-1 heals drop none.
+            (*report, _) = heal_receiver(obs, city, fog2, ChaosSite::Fog2(d), 0, source, now_s);
         });
         let results: Vec<(ObsScratch, HealReport)> =
-            shards.into_iter().map(|s| (s.obs, s.report)).collect();
+            shards.into_iter().map(|(_, obs, r)| (obs, r)).collect();
+        let mut report = HealReport::default();
         for (mut obs, shard_report) in results {
             self.absorb_scratch(&mut obs);
-            report.healed += shard_report.healed;
-            report.blocked += shard_report.blocked;
-            report.impossible += shard_report.impossible;
+            report.merge(shard_report);
         }
-        let cloud_holes = self.cloud.sketches().holes_sorted();
-        if cloud_holes.is_empty() {
-            return report;
-        }
-        let to = self.city.cloud();
-        if self.city.network().failures().node_is_down(to, at) {
-            report.blocked += cloud_holes.len() as u64;
-            self.metrics
-                .add(self.ids.heal_blocked, cloud_holes.len() as u64);
-            return report;
-        }
-        let round = self.tracer.open(Site::cloud(), "heal-round", now_us);
-        let healed_before = report.healed;
-        for key in cloud_holes {
+        // Phase 2: the cloud heals from the fog-2 tier.
+        let city = &self.city;
+        let fog2: &[F2cNode] = &self.fog2;
+        let source = |key: &SketchKey| {
+            let d = city.district_of(key.section as usize);
+            (&fog2[d], city.fog2_nodes()[d])
+        };
+        let mut obs = ObsScratch::new();
+        let (cloud_report, healed) = heal_receiver(
+            &mut obs,
+            city,
+            &mut self.cloud,
+            ChaosSite::Cloud,
+            1,
+            source,
+            now_s,
+        );
+        self.absorb_scratch(&mut obs);
+        for key in healed {
+            // The heal shipped the district's full current fold, which
+            // subsumes any increment still queued for upward relay —
+            // relaying it afterwards would double-count.
             let d = self.city.district_of(key.section as usize);
-            let from = self.city.fog2_nodes()[d];
-            let site = ChaosSite::Cloud;
-            if self.fog2[d].sketches().is_hole(&key) {
-                // Healing from a still-holed source would launder the
-                // hole into silently wrong data; wait for phase 1.
-                report.blocked += 1;
-                self.metrics.inc(self.ids.heal_blocked);
-                self.record_incident(now_s, site, IncidentKind::HealBlocked { key });
-                continue;
-            }
-            let Some((partial, _)) = self.fog2[d].sketches().entry(&key) else {
-                report.impossible += 1;
-                self.metrics.inc(self.ids.heal_impossible);
-                self.record_incident(now_s, site, IncidentKind::HealImpossible { key });
-                continue;
-            };
-            let encoded = partial.encode();
-            let relay = self.tracer.open(Site::cloud(), "sketch-relay", now_us);
-            let shipped = self.city.network().path_is_up(from, to, at)
-                && self
-                    .city
-                    .network_mut()
-                    .send(from, to, encoded.len() as u64, at)
-                    .is_ok();
-            self.tracer.close_with(
-                relay,
-                now_us,
-                if shipped { encoded.len() as u64 } else { 0 },
-            );
-            if !shipped {
-                report.blocked += 1;
-                self.metrics.inc(self.ids.heal_blocked);
-                self.record_incident(now_s, site, IncidentKind::HealBlocked { key });
-                continue;
-            }
-            self.metrics
-                .add(self.ids.sketch_flush_bytes[1], encoded.len() as u64);
-            if self.cloud.heal_sketch(key, &encoded) {
-                // The heal shipped the district's full current fold, which
-                // subsumes any increment still queued for upward relay —
-                // relaying it afterwards would double-count.
-                self.fog2[d].drop_queued_relay(&key);
-                report.healed += 1;
-                self.metrics.inc(self.ids.heal_healed);
-                self.record_incident(now_s, site, IncidentKind::HoleHealed { key });
-            }
+            self.fog2[d].drop_queued_relay(&key);
         }
-        self.tracer
-            .close_with(round, now_us, report.healed - healed_before);
+        report.merge(cloud_report);
         report
     }
 
@@ -1329,16 +1215,9 @@ impl F2cCity {
         // 3. Meter the transfer.
         let bytes: u64 = records.iter().map(DataRecord::wire_len).sum();
         let requester = self.city.fog1_nodes()[section];
-        let source_node = match source {
-            DataSource::Local => unreachable!("local handled above"),
-            DataSource::WarmSketch(_) => {
-                unreachable!("record fetches never read the sketch plane")
-            }
-            DataSource::Neighbor(n) => self.city.fog1_nodes()[n],
-            DataSource::Parent => self.city.fog2_nodes()[district],
-            DataSource::RemoteFog2(d) => self.city.fog2_nodes()[d],
-            DataSource::Cloud => self.city.cloud(),
-        };
+        let source_node = self
+            .source_node(section, source)
+            .expect("a fetch that misses locally is served remotely");
         self.city.network_mut().request_response(
             requester,
             source_node,
@@ -1365,12 +1244,29 @@ impl F2cCity {
     }
 }
 
+/// The simulated network node hosting a site.
+fn site_node(city: &BarcelonaTopology, site: ChaosSite) -> NodeId {
+    match site {
+        ChaosSite::Fog1(s) => city.fog1_nodes()[s],
+        ChaosSite::Fog2(d) => city.fog2_nodes()[d],
+        ChaosSite::Cloud => city.cloud(),
+    }
+}
+
+/// The span log of a site.
+fn trace_site(site: ChaosSite) -> Site {
+    match site {
+        ChaosSite::Fog1(s) => Site::new("fog1", s as u32),
+        ChaosSite::Fog2(d) => Site::new("fog2", d as u32),
+        ChaosSite::Cloud => Site::cloud(),
+    }
+}
+
 /// Gate one flush hop through the chaos plane. `Some(kind)` means the
 /// wave must not ship this turn: the child's `flush()` is never called,
 /// so its records stay *pending* in its store and the completeness
 /// frontiers above it honestly lag — deferral degrades availability,
-/// never correctness. A free function (not a method) so shards can gate
-/// while the city's node vectors are mutably split.
+/// never correctness.
 fn flush_gate(
     net: &Network,
     from: NodeId,
@@ -1418,137 +1314,12 @@ fn corrupt_in_flight(
     Some(*key)
 }
 
-/// One district's phase-A flush shard: the district's fog-1 slice, its
-/// fog-2 node, and the scratch all observability is buffered in.
-struct FlushShard<'a> {
-    district: usize,
-    /// Global section index of `fog1[0]` (sections are
-    /// district-contiguous, so shard-local `k` is section `base + k`).
-    base: usize,
-    fog1: &'a mut [F2cNode],
-    fog2: &'a mut F2cNode,
-    obs: ObsScratch,
-    ids: CityMetricIds,
-    bytes: u64,
-    /// Wire-encoded bytes of the shipped batches, before the codec.
-    wire_bytes: u64,
-    /// Whether the city's shipment tap is on.
-    capture: bool,
-    err: Option<Error>,
-}
-
-impl FlushShard<'_> {
-    fn run(&mut self, city: &BarcelonaTopology, catalog: &Catalog, epoch: u64, now_s: u64) {
-        let now_us = now_s * 1_000_000;
-        let net = city.network();
-        let site = Site::new("fog2", self.district as u32);
-        // One wave span per receiving node; member hops nest under it
-        // and the wave closes at its slowest hop's arrival.
-        let wave = self.obs.tracer.open(site, "flush-wave", now_us);
-        let mut wave_end_us = now_us;
-        let mut shipped = 0u64;
-        for k in 0..self.fog1.len() {
-            let i = self.base + k;
-            let from = city.fog1_nodes()[i];
-            let to = city.parent_of(i);
-            if let Some(kind) = flush_gate(net, from, to, epoch, now_s) {
-                self.obs.record_incident(now_s, ChaosSite::Fog1(i), kind);
-                continue;
-            }
-            let mut batch = match self.fog1[k].flush(now_s, catalog) {
-                Ok(batch) => batch,
-                Err(e) => {
-                    self.err = Some(e);
-                    break;
-                }
-            };
-            if let Some(key) = corrupt_in_flight(net, &mut batch, from, epoch) {
-                let at_site = ChaosSite::Fog2(self.district);
-                self.obs
-                    .record_incident(now_s, at_site, IncidentKind::SketchCorrupted { key });
-                self.obs
-                    .record_incident(now_s, at_site, IncidentKind::HolePunched { key });
-            }
-            // The sketch shipment (pre-folded partials + seal frontiers)
-            // always reaches the parent — an idle section still seals.
-            // Its bytes ride the flush envelope and are accounted on the
-            // sketch channel, not against the Table-I ground truth the
-            // traffic cross-validation reproduces.
-            self.obs
-                .reg
-                .add(self.ids.sketch_flush_bytes[0], batch.sketch_bytes);
-            self.obs
-                .reg
-                .add(self.ids.raw_flush_bytes[0], batch.acct_bytes);
-            let fold = self.obs.tracer.open(site, "sketch-fold", now_us);
-            self.fog2
-                .receive_sketches(&batch.sketches, &batch.seals, &batch.holes);
-            self.obs
-                .tracer
-                .close_with(fold, now_us, batch.sketches.len() as u64);
-            if batch.records.is_empty() {
-                continue;
-            }
-            self.bytes += batch.acct_bytes;
-            self.wire_bytes += batch.wire_bytes;
-            let hop = self.obs.tracer.open(site, "flush-hop", now_us);
-            let sent = net.send_scratch(
-                &mut self.obs.net,
-                from,
-                to,
-                batch.uplink_bytes(),
-                SimTime::from_secs(now_s),
-            );
-            let arrival_us = match &sent {
-                Ok(delivery) => delivery.arrival.as_micros(),
-                Err(_) => now_us,
-            };
-            self.obs
-                .tracer
-                .close_with(hop, arrival_us, batch.acct_bytes);
-            if let Err(e) = sent {
-                self.err = Some(e.into());
-                break;
-            }
-            wave_end_us = wave_end_us.max(arrival_us);
-            shipped += 1;
-            self.obs
-                .reg
-                .add(self.ids.uplink_flush_bytes[0], batch.uplink_bytes());
-            if self.capture {
-                if let Some(payload) = batch.payload.clone() {
-                    let readings: Vec<Reading> =
-                        batch.records.iter().map(|r| r.reading().clone()).collect();
-                    self.obs.shipments.push(ShipmentRecord {
-                        hop: 1,
-                        origin: i as u16,
-                        at_s: now_s,
-                        payload,
-                        wire: wire::encode_batch(&readings),
-                    });
-                }
-            }
-            // The receiver decodes the payload with its per-child mirror
-            // decoder and proves it equals the shipped records — the
-            // decode-equality check runs live, on every hop.
-            if let Err(e) =
-                self.fog2
-                    .receive_flush(i as u16, batch.payload.as_deref(), batch.records, now_s)
-            {
-                self.err = Some(e);
-                break;
-            }
-        }
-        self.obs.tracer.close_with(wave, wave_end_us, shipped);
-    }
-}
-
-/// What one district's phase-B shard prepared for the coordinator.
-enum CloudPrep {
-    /// The chaos gate deferred the district's wave.
+/// What the sending side of one flush hop prepared for its receiver.
+enum HopPrep {
+    /// The chaos gate deferred the child's turn.
     Skip(IncidentKind),
-    /// The batch to fold and ship at the coordinator, plus the key the
-    /// in-flight corruption coin damaged, if any.
+    /// The batch to deliver, plus the key the in-flight corruption coin
+    /// damaged, if any.
     Ship {
         batch: FlushBatch,
         corrupted: Option<SketchKey>,
@@ -1557,114 +1328,238 @@ enum CloudPrep {
     Failed(Error),
 }
 
-/// One district's phase-B shard: gates, flushes and draws the
-/// corruption coin in parallel; everything cloud-side happens at the
-/// coordinator, in district order.
-struct CloudShard<'a> {
-    district: usize,
-    fog2: &'a mut F2cNode,
-    prep: Option<CloudPrep>,
-}
-
-impl CloudShard<'_> {
-    fn run(&mut self, city: &BarcelonaTopology, catalog: &Catalog, epoch: u64, now_s: u64) {
-        let net = city.network();
-        let from = city.fog2_nodes()[self.district];
-        let to = city.cloud();
-        self.prep = Some(
-            if let Some(kind) = flush_gate(net, from, to, epoch, now_s) {
-                CloudPrep::Skip(kind)
-            } else {
-                match self.fog2.flush(now_s, catalog) {
-                    Ok(mut batch) => {
-                        let corrupted = corrupt_in_flight(net, &mut batch, from, epoch);
-                        CloudPrep::Ship { batch, corrupted }
-                    }
-                    Err(e) => CloudPrep::Failed(e),
-                }
-            },
-        );
+/// The sending side of one upward flush hop, identical at both tiers:
+/// [`flush_gate`], then the child's `flush()`, then the in-flight
+/// corruption coin. Touches only the child, so shards prepare in
+/// parallel.
+fn prepare(
+    city: &BarcelonaTopology,
+    catalog: &Catalog,
+    child: &mut F2cNode,
+    sender: ChaosSite,
+    receiver: ChaosSite,
+    epoch: u64,
+    now_s: u64,
+) -> HopPrep {
+    let net = city.network();
+    let from = site_node(city, sender);
+    if let Some(kind) = flush_gate(net, from, site_node(city, receiver), epoch, now_s) {
+        return HopPrep::Skip(kind);
+    }
+    match child.flush(now_s, catalog) {
+        Ok(mut batch) => {
+            let corrupted = corrupt_in_flight(net, &mut batch, from, epoch);
+            HopPrep::Ship { batch, corrupted }
+        }
+        Err(e) => HopPrep::Failed(e),
     }
 }
 
-/// One district's anti-entropy phase-1 shard: its fog-2 node heals from
-/// the (shared, immutable) fog-1 tier below it.
-struct HealShard<'a> {
-    district: usize,
-    fog2: &'a mut F2cNode,
-    obs: ObsScratch,
+/// One receiving node's flush wave. Every member hop's spans nest under
+/// its `flush-wave` span, which closes at the slowest hop's arrival.
+/// Callers close it after a failed hop too, so no span is left open.
+struct Wave {
+    receiver: ChaosSite,
+    /// Index into the per-hop counters: `0` = fog-1 → fog-2, `1` =
+    /// fog-2 → cloud.
+    tier: usize,
     ids: CityMetricIds,
-    report: HealReport,
+    span: SpanToken,
+    now_s: u64,
+    /// Whether the city's shipment tap is on.
+    capture: bool,
+    end_us: u64,
+    shipped: u64,
+    acct_bytes: u64,
+    /// Wire-encoded bytes of the shipped batches, before the codec.
+    wire_bytes: u64,
 }
 
-impl HealShard<'_> {
-    fn run(&mut self, city: &BarcelonaTopology, fog1: &[F2cNode], now_s: u64) {
-        let at = SimTime::from_secs(now_s);
+impl Wave {
+    fn open(obs: &mut ObsScratch, receiver: ChaosSite, capture: bool, now_s: u64) -> Self {
         let now_us = now_s * 1_000_000;
-        let d = self.district;
-        let net = city.network();
-        let holes = self.fog2.sketches().holes_sorted();
-        if holes.is_empty() {
-            return;
+        Self {
+            receiver,
+            tier: usize::from(receiver == ChaosSite::Cloud),
+            ids: CityMetricIds::register(&mut obs.reg),
+            span: obs.tracer.open(trace_site(receiver), "flush-wave", now_us),
+            now_s,
+            capture,
+            end_us: now_us,
+            shipped: 0,
+            acct_bytes: 0,
+            wire_bytes: 0,
         }
-        let to = city.fog2_nodes()[d];
-        if net.failures().node_is_down(to, at) {
-            // A crashed node runs no heal round; its holes carry.
-            self.report.blocked += holes.len() as u64;
-            self.obs.reg.add(self.ids.heal_blocked, holes.len() as u64);
-            return;
-        }
-        let round = self
-            .obs
-            .tracer
-            .open(Site::new("fog2", d as u32), "heal-round", now_us);
-        let healed_before = self.report.healed;
-        for key in holes {
-            let section = key.section as usize;
-            let from = city.fog1_nodes()[section];
-            let site = ChaosSite::Fog2(d);
-            let Some((partial, _)) = fog1[section].sketches().entry(&key) else {
-                self.report.impossible += 1;
-                self.obs.reg.inc(self.ids.heal_impossible);
-                self.obs
-                    .record_incident(now_s, site, IncidentKind::HealImpossible { key });
-                continue;
-            };
-            let encoded = partial.encode();
-            let relay = self
-                .obs
-                .tracer
-                .open(Site::new("fog2", d as u32), "sketch-relay", now_us);
-            let shipped = net.path_is_up(from, to, at)
-                && net
-                    .send_scratch(&mut self.obs.net, from, to, encoded.len() as u64, at)
-                    .is_ok();
-            self.obs.tracer.close_with(
-                relay,
-                now_us,
-                if shipped { encoded.len() as u64 } else { 0 },
-            );
-            if !shipped {
-                self.report.blocked += 1;
-                self.obs.reg.inc(self.ids.heal_blocked);
-                self.obs
-                    .record_incident(now_s, site, IncidentKind::HealBlocked { key });
-                continue;
-            }
-            self.obs
-                .reg
-                .add(self.ids.sketch_flush_bytes[0], encoded.len() as u64);
-            if self.fog2.heal_sketch(key, &encoded) {
-                self.report.healed += 1;
-                self.obs.reg.inc(self.ids.heal_healed);
-                self.obs
-                    .record_incident(now_s, site, IncidentKind::HoleHealed { key });
-            }
-        }
-        self.obs
-            .tracer
-            .close_with(round, now_us, self.report.healed - healed_before);
     }
+
+    /// The receiving side of one member hop, identical at both tiers: a
+    /// deferral's incident at the sender, the corruption and hole
+    /// incidents at the receiver, the sketch fold, then the metered send
+    /// of the records and the receiver's mirror decode.
+    fn deliver(
+        &mut self,
+        obs: &mut ObsScratch,
+        city: &BarcelonaTopology,
+        parent: &mut F2cNode,
+        sender: ChaosSite,
+        prep: HopPrep,
+    ) -> Result<()> {
+        let (batch, corrupted) = match prep {
+            HopPrep::Skip(kind) => {
+                obs.record_incident(self.now_s, sender, kind);
+                return Ok(());
+            }
+            HopPrep::Failed(e) => return Err(e),
+            HopPrep::Ship { batch, corrupted } => (batch, corrupted),
+        };
+        let now_s = self.now_s;
+        let now_us = now_s * 1_000_000;
+        let site = trace_site(self.receiver);
+        if let Some(key) = corrupted {
+            obs.record_incident(now_s, self.receiver, IncidentKind::SketchCorrupted { key });
+            obs.record_incident(now_s, self.receiver, IncidentKind::HolePunched { key });
+        }
+        // The sketch shipment (pre-folded partials + seal frontiers)
+        // always reaches the parent — an idle child still seals. Its
+        // bytes ride the flush envelope and are accounted on the sketch
+        // channel, not against the Table-I ground truth the traffic
+        // cross-validation reproduces.
+        obs.reg
+            .add(self.ids.sketch_flush_bytes[self.tier], batch.sketch_bytes);
+        obs.reg
+            .add(self.ids.raw_flush_bytes[self.tier], batch.acct_bytes);
+        // Holes relayed from below (only fog 2 relays any) punch again
+        // at the receiver.
+        for &key in &batch.holes {
+            obs.record_incident(now_s, self.receiver, IncidentKind::HolePunched { key });
+        }
+        let fold = obs.tracer.open(site, "sketch-fold", now_us);
+        parent.receive_sketches(&batch.sketches, &batch.seals, &batch.holes);
+        obs.tracer
+            .close_with(fold, now_us, batch.sketches.len() as u64);
+        if batch.records.is_empty() {
+            return Ok(());
+        }
+        self.acct_bytes += batch.acct_bytes;
+        self.wire_bytes += batch.wire_bytes;
+        let hop = obs.tracer.open(site, "flush-hop", now_us);
+        let sent = city.network().send_scratch(
+            &mut obs.net,
+            site_node(city, sender),
+            site_node(city, self.receiver),
+            batch.uplink_bytes(),
+            SimTime::from_secs(now_s),
+        );
+        let arrival_us = sent
+            .as_ref()
+            .map_or(now_us, |delivery| delivery.arrival.as_micros());
+        obs.tracer.close_with(hop, arrival_us, batch.acct_bytes);
+        sent?;
+        self.end_us = self.end_us.max(arrival_us);
+        self.shipped += 1;
+        obs.reg
+            .add(self.ids.uplink_flush_bytes[self.tier], batch.uplink_bytes());
+        let origin = match sender {
+            ChaosSite::Fog1(i) | ChaosSite::Fog2(i) => i as u16,
+            ChaosSite::Cloud => unreachable!("the cloud has no parent"),
+        };
+        if self.capture {
+            if let Some(payload) = batch.payload.clone() {
+                let readings: Vec<Reading> =
+                    batch.records.iter().map(|r| r.reading().clone()).collect();
+                obs.shipments.push(ShipmentRecord {
+                    hop: self.tier as u8 + 1,
+                    origin,
+                    at_s: now_s,
+                    payload,
+                    wire: wire::encode_batch(&readings),
+                });
+            }
+        }
+        // The receiver decodes the payload with its per-child mirror
+        // decoder and proves it equals the shipped records — the
+        // decode-equality check runs live, on every hop.
+        parent.receive_flush(origin, batch.payload.as_deref(), batch.records, now_s)
+    }
+
+    /// Closes the wave span and returns the accounting and wire bytes
+    /// shipped.
+    fn close(self, obs: &mut ObsScratch) -> (u64, u64) {
+        obs.tracer.close_with(self.span, self.end_us, self.shipped);
+        (self.acct_bytes, self.wire_bytes)
+    }
+}
+
+/// One receiver's anti-entropy heal, identical at both tiers: every hole
+/// in `receiver`'s ledger is re-shipped from the entry `source` names
+/// for its key (the source node and its network node) into `obs`.
+/// `tier` indexes the per-hop sketch counters. A source that is itself
+/// holed is refused — healing from it would launder the hole into
+/// silently wrong data. Returns the outcome tally and the healed keys.
+fn heal_receiver<'s>(
+    obs: &mut ObsScratch,
+    city: &BarcelonaTopology,
+    receiver: &mut F2cNode,
+    site: ChaosSite,
+    tier: usize,
+    source: impl Fn(&SketchKey) -> (&'s F2cNode, NodeId),
+    now_s: u64,
+) -> (HealReport, Vec<SketchKey>) {
+    let mut report = HealReport::default();
+    let mut healed = Vec::new();
+    let holes = receiver.sketches().holes_sorted();
+    if holes.is_empty() {
+        return (report, healed);
+    }
+    let ids = CityMetricIds::register(&mut obs.reg);
+    let at = SimTime::from_secs(now_s);
+    let now_us = now_s * 1_000_000;
+    let net = city.network();
+    let to = site_node(city, site);
+    if net.failures().node_is_down(to, at) {
+        // A crashed node runs no heal round; its holes carry.
+        report.blocked = holes.len() as u64;
+        obs.reg.add(ids.heal_blocked, report.blocked);
+        return (report, healed);
+    }
+    let span_site = trace_site(site);
+    let round = obs.tracer.open(span_site, "heal-round", now_us);
+    for key in holes {
+        let (src, from) = source(&key);
+        let kind = if src.sketches().is_hole(&key) {
+            IncidentKind::HealBlocked { key }
+        } else if let Some((partial, _)) = src.sketches().entry(&key) {
+            let encoded = partial.encode();
+            let bytes = encoded.len() as u64;
+            let relay = obs.tracer.open(span_site, "sketch-relay", now_us);
+            let shipped = net.path_is_up(from, to, at)
+                && net.send_scratch(&mut obs.net, from, to, bytes, at).is_ok();
+            obs.tracer
+                .close_with(relay, now_us, if shipped { bytes } else { 0 });
+            if shipped {
+                obs.reg.add(ids.sketch_flush_bytes[tier], bytes);
+                if !receiver.heal_sketch(key, &encoded) {
+                    continue;
+                }
+                healed.push(key);
+                IncidentKind::HoleHealed { key }
+            } else {
+                IncidentKind::HealBlocked { key }
+            }
+        } else {
+            IncidentKind::HealImpossible { key }
+        };
+        let (counter, tally) = match kind {
+            IncidentKind::HoleHealed { .. } => (ids.heal_healed, &mut report.healed),
+            IncidentKind::HealImpossible { .. } => (ids.heal_impossible, &mut report.impossible),
+            _ => (ids.heal_blocked, &mut report.blocked),
+        };
+        *tally += 1;
+        obs.reg.inc(counter);
+        obs.record_incident(now_s, site, kind);
+    }
+    obs.tracer.close_with(round, now_us, report.healed);
+    (report, healed)
 }
 
 #[cfg(test)]
@@ -1778,6 +1673,40 @@ mod tests {
         assert_eq!(city.cloud().store().len(), {
             city.fog1(0).store().len() + city.fog1(40).store().len()
         });
+    }
+
+    #[test]
+    fn a_failed_hop_closes_its_wave_span() {
+        let probe = F2cCity::barcelona().unwrap();
+        let routes = [
+            (
+                probe.city.fog1_nodes()[0],
+                probe.city.fog2_nodes()[0],
+                Site::new("fog2", 0),
+            ),
+            (
+                probe.city.fog2_nodes()[0],
+                probe.city.cloud(),
+                Site::cloud(),
+            ),
+        ];
+        for (from, to, receiver) in routes {
+            let mut city = F2cCity::barcelona().unwrap();
+            let mut plan = FailurePlan::with_seed(1);
+            for link in city.city.network().topology().route(from, to).unwrap() {
+                plan.set_loss(link, 1.0);
+            }
+            city.set_failures(plan);
+            waves_into(&mut city, 0, SensorType::Weather, 2);
+            let err = city.flush_all(2_000).unwrap_err();
+            assert!(
+                matches!(err, Error::Network(citysim::Error::MessageLost { .. })),
+                "{receiver}: {err}"
+            );
+            let log = city.tracer().log(receiver).expect("the wave opened a span");
+            assert_eq!(log.open_count(), 0, "{receiver} left its wave span open");
+            assert!(log.completed().any(|span| span.name == "flush-wave"));
+        }
     }
 
     #[test]
