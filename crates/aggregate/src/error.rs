@@ -7,7 +7,8 @@ pub type Result<T> = std::result::Result<T, Error>;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Error {
-    /// A window length of zero was requested.
+    /// A zero-length window (a sketch-ledger bucket width of zero) was
+    /// requested.
     EmptyWindow,
     /// A sketch was configured with zero width/depth/registers.
     DegenerateSketch {
@@ -19,10 +20,6 @@ pub enum Error {
         /// Which check refused it (magic, layout, or CRC).
         reason: &'static str,
     },
-    /// A protocol was run over an empty node set.
-    NoParticipants,
-    /// A gossip/flood round count of zero was requested.
-    ZeroRounds,
 }
 
 impl fmt::Display for Error {
@@ -35,8 +32,6 @@ impl fmt::Display for Error {
             Error::CorruptPartial { reason } => {
                 write!(f, "shipped partial failed integrity check: {reason}")
             }
-            Error::NoParticipants => write!(f, "protocol needs at least one participant"),
-            Error::ZeroRounds => write!(f, "round count must be positive"),
         }
     }
 }

@@ -32,38 +32,6 @@ pub fn fold<S: Decomposable>(values: impl IntoIterator<Item = f64>) -> S {
     s
 }
 
-/// Sum and count (the base for averages).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SumCount {
-    /// Running sum.
-    pub sum: f64,
-    /// Number of absorbed values.
-    pub count: u64,
-}
-
-impl SumCount {
-    /// The mean, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-}
-
-impl Decomposable for SumCount {
-    fn empty() -> Self {
-        Self::default()
-    }
-
-    fn absorb(&mut self, value: f64) {
-        self.sum += value;
-        self.count += 1;
-    }
-
-    fn merge(&mut self, other: &Self) {
-        self.sum += other.sum;
-        self.count += other.count;
-    }
-}
-
 /// Minimum and maximum.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MinMax {
@@ -151,9 +119,11 @@ mod tests {
 
     #[test]
     fn sumcount_mean() {
-        let s: SumCount = fold([1.0, 2.0, 3.0, 4.0]);
+        // Count and sum alone give the mean; `Moments` carries both.
+        let s: Moments = fold([1.0, 2.0, 3.0, 4.0]);
+        assert_eq!((s.count, s.sum), (4, 10.0));
         assert_eq!(s.mean(), Some(2.5));
-        assert_eq!(SumCount::empty().mean(), None);
+        assert_eq!(Moments::empty().mean(), None);
     }
 
     #[test]
@@ -189,9 +159,9 @@ mod tests {
 
     #[test]
     fn empty_is_merge_identity() {
-        let mut s: SumCount = fold([1.0, 2.0]);
+        let mut s: Moments = fold([1.0, 2.0]);
         let before = s;
-        s.merge(&SumCount::empty());
+        s.merge(&Moments::empty());
         assert_eq!(s, before);
         let mut e = MinMax::empty();
         let partial: MinMax = fold([5.0]);

@@ -4,23 +4,17 @@
 //! (communication: structured/unstructured/hybrid; computation:
 //! decomposable/complex/counting) and then evaluates two concrete
 //! techniques at fog layer 1: **redundant-data elimination** and
-//! compression. This crate implements the evaluated techniques plus a
-//! representative slice of the surveyed taxonomy, so the architecture's
-//! "many other aggregation techniques could easily be applied" claim is
-//! backed by working code:
+//! compression (the latter lives in `f2c-compress`). This crate holds
+//! the first of those plus the mergeable partial states the hierarchy
+//! ships up its flush hops:
 //!
 //! * [`dedup`] — redundant-data elimination (the paper's technique #1),
-//! * [`window`] — tumbling-window combination (count/min/max/mean),
 //! * [`functions`] — decomposable aggregate functions with mergeable
 //!   partial states (the "hierarchic/averaging" computation class),
-//! * [`sketch`] — count-min and HyperLogLog (the "sketches" and
-//!   "randomized counting" classes), plus the sketch plane's mergeable
-//!   [`sketch::AggPartial`] (CRC-checked wire form) and per-node
-//!   [`sketch::SketchLedger`] of bucketed, compaction-surviving
-//!   partials,
-//! * [`protocol`] — tree (structured/hierarchical), gossip push-sum
-//!   (unstructured), and flooding (unstructured) protocols,
-//! * [`plan`] — composable per-fog-node aggregation pipelines.
+//! * [`sketch`] — HyperLogLog (the "randomized counting" class) and the
+//!   sketch plane built on it: the mergeable [`sketch::AggPartial`]
+//!   (CRC-checked wire form) and the per-node [`sketch::SketchLedger`]
+//!   of bucketed, compaction-surviving partials.
 //!
 //! # Quickstart
 //!
@@ -45,15 +39,9 @@
 //! ```
 
 pub mod dedup;
-pub mod delta;
 mod error;
 pub mod functions;
-pub mod plan;
-pub mod protocol;
 pub mod sketch;
-pub mod window;
 
 pub use dedup::{DedupStats, RedundancyFilter};
 pub use error::{Error, Result};
-pub use plan::{AggregationPlan, PlanReport, Stage};
-pub use window::{WindowCombiner, WindowSummary};

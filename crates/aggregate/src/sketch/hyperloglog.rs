@@ -135,7 +135,7 @@ impl HyperLogLog {
     }
 }
 
-/// Hash seed for HLL (ASCII "HLL" — distinct from the count-min row seeds).
+/// Hash seed for HLL (ASCII "HLL").
 const HLL_SEED: u64 = 0x48_4C_4C;
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
-//! Sublinear-memory sketches — the "sketches" and "randomized counting"
-//! classes of the paper's computation taxonomy (§V.A, \[20\]) — and the
-//! **sketch plane** built on them.
+//! A sublinear-memory sketch — HyperLogLog, the "randomized counting"
+//! class of the paper's computation taxonomy (§V.A, \[20\]) — and the
+//! **sketch plane** built on it.
 //!
-//! Fog nodes have bounded memory; sketches let them answer frequency and
+//! Fog nodes have bounded memory; a distinct-count sketch lets them answer
 //! cardinality questions about city-scale streams (how many distinct
-//! vehicles passed, how often each parking zone toggles) in constant space
-//! and merge those answers up the F2C hierarchy.
+//! sensors reported in a window) in constant space and merge those answers
+//! up the F2C hierarchy.
 //!
 //! The sketch plane is that merge made systemic: [`AggPartial`] bundles
 //! the mergeable states one aggregate answer needs (moments, extremes,
@@ -40,17 +40,13 @@
 //! # Ok::<(), f2c_aggregate::Error>(())
 //! ```
 
-mod countmin;
 mod hyperloglog;
 mod ledger;
 mod partial;
-mod qdigest;
 
-pub use countmin::CountMinSketch;
 pub use hyperloglog::HyperLogLog;
 pub use ledger::{SketchKey, SketchLedger};
 pub use partial::{AggPartial, PARTIAL_HLL_PRECISION};
-pub use qdigest::QDigest;
 
 /// 64-bit FNV-1a hash used by the sketches (dependency-free, well mixed
 /// after the final avalanche step).

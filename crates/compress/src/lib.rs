@@ -8,7 +8,6 @@
 //!
 //! * [`bitio`] — LSB-first bit-level reader/writer,
 //! * [`crc32`] — CRC-32 (IEEE 802.3) integrity checksums,
-//! * [`rle`] — byte run-length coding (a cheap baseline codec),
 //! * [`lz77`] — hash-chain LZ77 tokenizer with lazy matching,
 //! * [`huffman`] — length-limited canonical Huffman codes (package-merge),
 //! * [`deflate`] — the combined LZ77+Huffman stream codec,
@@ -38,7 +37,6 @@ pub mod deflate;
 mod error;
 pub mod huffman;
 pub mod lz77;
-pub mod rle;
 pub mod tsenc;
 
 pub use deflate::{compress, compress_with, decompress, Level};

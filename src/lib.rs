@@ -6,8 +6,9 @@
 //! * [`sensors`] — the Sentilo-like sensor substrate (Table I catalog),
 //! * [`citysim`] — the discrete-event network simulator,
 //! * [`compress`] — the from-scratch deflate-style codec,
-//! * [`aggregate`] — aggregation filters, sketches and protocols, plus
-//!   the sketch plane's mergeable partials and per-node ledgers,
+//! * [`aggregate`] — redundant-data elimination, decomposable aggregate
+//!   functions, and the sketch plane's mergeable partials and per-node
+//!   ledgers,
 //! * [`dlc`] — the SCC-DLC life-cycle model,
 //! * [`core`] — the F2C data-management architecture itself,
 //! * [`qos`] — per-service QoS classes, quotas and deadline budgets,

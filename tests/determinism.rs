@@ -17,6 +17,9 @@ use f2c_smartcity::query::parallel;
 use f2c_smartcity::query::{EngineConfig, QueryEngine, WorkloadConfig};
 use f2c_smartcity::sensors::{wire, Catalog, ReadingGenerator, SensorType};
 
+mod common;
+use common::{assert_byte_identical, byte_divergence};
+
 /// One full replica: ingests 24 waves (6 simulated hours at 900 s) from
 /// four sensor types spanning all five categories' value models, flushing
 /// every hour, and returns the concatenated flush transcript — wire text
@@ -70,26 +73,6 @@ fn replica(seed: u64) -> Vec<u8> {
     let packed = compress::compress(&transcript).expect("transcript compresses");
     transcript.extend_from_slice(&packed);
     transcript
-}
-
-/// Asserts two replica transcripts are identical, reporting the first
-/// divergent offset and a ±8-byte hex window on failure.
-fn assert_byte_identical(a: &[u8], b: &[u8], label: &str) {
-    if a == b {
-        return;
-    }
-    let common = a.len().min(b.len());
-    let offset = (0..common).find(|&i| a[i] != b[i]).unwrap_or(common);
-    let window =
-        |s: &[u8]| -> Vec<u8> { s[offset.saturating_sub(8)..(offset + 8).min(s.len())].to_vec() };
-    panic!(
-        "{label}: replicas diverge at byte offset {offset} \
-         (lengths {} vs {});\n  a[..±8] = {:02x?}\n  b[..±8] = {:02x?}",
-        a.len(),
-        b.len(),
-        window(a),
-        window(b),
-    );
 }
 
 #[test]
@@ -327,7 +310,22 @@ fn divergence_reporting_points_at_first_differing_byte() {
         .downcast_ref::<String>()
         .expect("panic carries a String");
     assert!(
-        message.contains("byte offset 3"),
+        message.contains("byte offset 3") && message.contains("content differs"),
         "unexpected divergence report: {message}"
     );
+
+    // A stream that stops early is a strict prefix, not a content change:
+    // the report points at the end of the shorter stream and says which
+    // side it is.
+    let report = byte_divergence(b"abc", b"abcdef", "probe").expect("lengths differ");
+    assert!(
+        report.contains("byte offset 3") && report.contains("a is a strict prefix of b"),
+        "unexpected divergence report: {report}"
+    );
+    let report = byte_divergence(b"abcdef", b"abc", "probe").expect("lengths differ");
+    assert!(
+        report.contains("b is a strict prefix of a"),
+        "unexpected divergence report: {report}"
+    );
+    assert_eq!(byte_divergence(b"abc", b"abc", "probe"), None);
 }

@@ -19,25 +19,8 @@ use f2c_smartcity::query::{
 };
 use f2c_smartcity::sensors::wire;
 
-/// Asserts two replica byte streams are identical, reporting the first
-/// divergent offset and a ±8-byte hex window on failure.
-fn assert_byte_identical(a: &[u8], b: &[u8], label: &str) {
-    if a == b {
-        return;
-    }
-    let common = a.len().min(b.len());
-    let offset = (0..common).find(|&i| a[i] != b[i]).unwrap_or(common);
-    let window =
-        |s: &[u8]| -> Vec<u8> { s[offset.saturating_sub(8)..(offset + 8).min(s.len())].to_vec() };
-    panic!(
-        "{label}: replicas diverge at byte offset {offset} \
-         (lengths {} vs {});\n  a[..±8] = {:02x?}\n  b[..±8] = {:02x?}",
-        a.len(),
-        b.len(),
-        window(a),
-        window(b),
-    );
-}
+mod common;
+use common::{assert_byte_identical, byte_divergence};
 
 /// Renders every artifact of a finished run into one byte stream:
 /// transcript, report accounting, per-node store and sketch-ledger
@@ -285,18 +268,9 @@ mod properties {
             };
             let baseline = shard_replica(&config, 1, false);
             let other = shard_replica(&config, threads, false);
-            prop_assert_eq!(
-                baseline.len(),
-                other.len(),
-                "artifact lengths diverge at threads={}", threads
-            );
-            let offset = (0..baseline.len()).find(|&i| baseline[i] != other[i]);
-            prop_assert!(
-                offset.is_none(),
-                "artifacts diverge at byte offset {:?} (threads={})",
-                offset,
-                threads
-            );
+            let label = format!("threads=1 vs threads={threads}");
+            let report = byte_divergence(&baseline, &other, &label);
+            prop_assert!(report.is_none(), "{}", report.unwrap_or_default());
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Cross-crate property-based tests: invariants that must hold for any
 //! workload, not just the Barcelona catalog.
 
-use f2c_smartcity::aggregate::functions::{fold, Decomposable, Moments, SumCount};
+use f2c_smartcity::aggregate::functions::{fold, Decomposable, Moments};
 use f2c_smartcity::aggregate::RedundancyFilter;
 use f2c_smartcity::compress;
 use f2c_smartcity::core::{F2cNode, FlushPolicy, RetentionPolicy};
@@ -81,9 +81,9 @@ proptest! {
         prop_assert_eq!(left.count, rev_left.count);
         prop_assert!((left.sum - rev_left.sum).abs() < 1e-6);
 
-        let mut sc: SumCount = fold(values.iter().copied());
-        sc.merge(&SumCount::empty());
-        prop_assert_eq!(sc.count, values.len() as u64);
+        let mut all: Moments = fold(values.iter().copied());
+        all.merge(&Moments::empty());
+        prop_assert_eq!(all.count, values.len() as u64);
     }
 
     #[test]
