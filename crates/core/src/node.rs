@@ -2,7 +2,7 @@
 //! its layer. Fog-1 nodes run the acquisition block over their section's
 //! sensors and keep a short-retention tier; fog-2 nodes combine their
 //! children's flushes in a medium tier; the cloud runs preservation
-//! (classification + permanent archive + dissemination).
+//! (classification + permanent archive).
 //!
 //! Every node also rides the **sketch plane**: a fog-1 flush folds its
 //! batch into per-`(section, type, bucket)` [`AggPartial`]s and ships the

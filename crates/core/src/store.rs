@@ -105,7 +105,7 @@ impl TieredStore {
         self.archive.wire_bytes()
     }
 
-    /// Read access to the archive (queries, dissemination).
+    /// Read access to the archive (queries).
     pub fn archive(&self) -> &ArchiveStore {
         &self.archive
     }

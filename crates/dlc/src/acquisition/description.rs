@@ -4,7 +4,7 @@
 use scc_sensors::Category;
 
 use crate::descriptor::PrivacyLevel;
-use crate::phase::{Block, Phase, PhaseContext};
+use crate::phase::{Phase, PhaseContext};
 use crate::record::DataRecord;
 
 /// Fills location/authoring/privacy tags for every record.
@@ -39,10 +39,6 @@ impl DescriptionPhase {
 impl Phase for DescriptionPhase {
     fn name(&self) -> &'static str {
         "data-description"
-    }
-
-    fn block(&self) -> Block {
-        Block::Acquisition
     }
 
     fn run(&mut self, mut batch: Vec<DataRecord>, _ctx: &PhaseContext) -> Vec<DataRecord> {

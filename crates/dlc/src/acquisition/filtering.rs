@@ -4,7 +4,7 @@
 
 use f2c_aggregate::RedundancyFilter;
 
-use crate::phase::{Block, Phase, PhaseContext};
+use crate::phase::{Phase, PhaseContext};
 use crate::record::DataRecord;
 
 /// Drops records whose reading repeats the sensor's previous value.
@@ -38,10 +38,6 @@ impl FilteringPhase {
 impl Phase for FilteringPhase {
     fn name(&self) -> &'static str {
         "data-filtering"
-    }
-
-    fn block(&self) -> Block {
-        Block::Acquisition
     }
 
     fn run(&mut self, batch: Vec<DataRecord>, _ctx: &PhaseContext) -> Vec<DataRecord> {

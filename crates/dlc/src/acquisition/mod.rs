@@ -11,8 +11,7 @@ pub use description::DescriptionPhase;
 pub use filtering::FilteringPhase;
 pub use quality_phase::QualityPhase;
 
-use crate::phase::{Block, PhaseContext};
-use crate::pipeline::Pipeline;
+use crate::phase::{Phase, PhaseContext, PhaseStats};
 use crate::record::DataRecord;
 use scc_sensors::Reading;
 
@@ -33,9 +32,17 @@ use scc_sensors::Reading;
 /// assert!(out[0].descriptor().is_fully_described());
 /// assert!(out[0].quality().unwrap().passed());
 /// ```
-#[derive(Debug)]
 pub struct AcquisitionBlock {
-    pipeline: Pipeline,
+    phases: Vec<(Box<dyn Phase>, PhaseStats)>,
+}
+
+impl std::fmt::Debug for AcquisitionBlock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let names: Vec<&str> = self.phases.iter().map(|(p, _)| p.name()).collect();
+        f.debug_struct("AcquisitionBlock")
+            .field("phases", &names)
+            .finish()
+    }
 }
 
 impl AcquisitionBlock {
@@ -43,20 +50,12 @@ impl AcquisitionBlock {
     /// `district` in `city`: collection, redundant-data elimination,
     /// quality (dropping failures), description.
     pub fn new(city: &str, district: u16, section: u16) -> Self {
-        let mut pipeline = Pipeline::new(Block::Acquisition);
-        pipeline
-            .push(Box::new(CollectionPhase::new()))
-            .expect("collection is an acquisition phase");
-        pipeline
-            .push(Box::new(FilteringPhase::paper_default()))
-            .expect("filtering is an acquisition phase");
-        pipeline
-            .push(Box::new(QualityPhase::dropping_failures()))
-            .expect("quality is an acquisition phase");
-        pipeline
-            .push(Box::new(DescriptionPhase::new(city, district, section)))
-            .expect("description is an acquisition phase");
-        Self { pipeline }
+        Self::of(vec![
+            Box::new(CollectionPhase::new()),
+            Box::new(FilteringPhase::paper_default()),
+            Box::new(QualityPhase::dropping_failures()),
+            Box::new(DescriptionPhase::new(city, district, section)),
+        ])
     }
 
     /// Shorthand used in examples: Barcelona, district derived elsewhere.
@@ -67,28 +66,37 @@ impl AcquisitionBlock {
     /// A variant *without* the filtering phase — the centralized-baseline
     /// configuration, where no aggregation happens before the cloud.
     pub fn without_filtering(city: &str, district: u16, section: u16) -> Self {
-        let mut pipeline = Pipeline::new(Block::Acquisition);
-        pipeline
-            .push(Box::new(CollectionPhase::new()))
-            .expect("collection is an acquisition phase");
-        pipeline
-            .push(Box::new(QualityPhase::dropping_failures()))
-            .expect("quality is an acquisition phase");
-        pipeline
-            .push(Box::new(DescriptionPhase::new(city, district, section)))
-            .expect("description is an acquisition phase");
-        Self { pipeline }
+        Self::of(vec![
+            Box::new(CollectionPhase::new()),
+            Box::new(QualityPhase::dropping_failures()),
+            Box::new(DescriptionPhase::new(city, district, section)),
+        ])
+    }
+
+    fn of(phases: Vec<Box<dyn Phase>>) -> Self {
+        Self {
+            phases: phases
+                .into_iter()
+                .map(|p| (p, PhaseStats::default()))
+                .collect(),
+        }
     }
 
     /// Ingests raw readings: wrap → collect → filter → quality → describe.
     pub fn ingest(&mut self, readings: Vec<Reading>, ctx: &PhaseContext) -> Vec<DataRecord> {
-        let records = readings.into_iter().map(DataRecord::from_reading).collect();
-        self.pipeline.run(records, ctx)
+        let mut batch: Vec<DataRecord> =
+            readings.into_iter().map(DataRecord::from_reading).collect();
+        for (phase, stats) in &mut self.phases {
+            let before = batch.len();
+            batch = phase.run(batch, ctx);
+            stats.record_run(before, batch.len());
+        }
+        batch
     }
 
     /// Per-phase throughput statistics.
-    pub fn stats(&self) -> Vec<(&'static str, crate::phase::PhaseStats)> {
-        self.pipeline.stats()
+    pub fn stats(&self) -> Vec<(&'static str, PhaseStats)> {
+        self.phases.iter().map(|(p, s)| (p.name(), *s)).collect()
     }
 }
 

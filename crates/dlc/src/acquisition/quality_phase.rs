@@ -2,7 +2,7 @@
 //! (optionally) drops failures, "assessing and guaranteeing higher data
 //! quality" at fog layer 1 (§IV.A).
 
-use crate::phase::{Block, Phase, PhaseContext};
+use crate::phase::{Phase, PhaseContext};
 use crate::quality::QualityPolicy;
 use crate::record::DataRecord;
 
@@ -50,10 +50,6 @@ impl QualityPhase {
 impl Phase for QualityPhase {
     fn name(&self) -> &'static str {
         "data-quality"
-    }
-
-    fn block(&self) -> Block {
-        Block::Acquisition
     }
 
     fn run(&mut self, batch: Vec<DataRecord>, ctx: &PhaseContext) -> Vec<DataRecord> {

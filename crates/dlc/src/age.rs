@@ -5,10 +5,10 @@ use serde::{Deserialize, Serialize};
 
 /// Age class of a piece of data at some observation instant.
 ///
-/// The thresholds are a deployment policy ([`AgePolicy`]); the paper fixes
-/// only the ordering: real-time data is just-generated and consumed near
-/// its fog-1 node, historical data has accumulated in storage (presumably
-/// at higher layers), with a recent band in between.
+/// The paper fixes only the ordering: real-time data is just-generated
+/// and consumed near its fog-1 node, historical data has accumulated in
+/// storage (presumably at higher layers), with a recent band in between.
+/// The placement engine maps each class to the layer that holds it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum AgeClass {
     /// Just generated; candidates for critical low-latency consumption.
@@ -19,92 +19,13 @@ pub enum AgeClass {
     Historical,
 }
 
-/// Thresholds that map an age in seconds to an [`AgeClass`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AgePolicy {
-    /// Ages strictly below this are [`AgeClass::RealTime`].
-    pub realtime_below_s: u64,
-    /// Ages strictly below this (and not real-time) are [`AgeClass::Recent`].
-    pub recent_below_s: u64,
-}
-
-impl AgePolicy {
-    /// A policy matching the flush cadences used in the experiments:
-    /// real-time < 15 min (one fog-1 collection period), recent < 24 h
-    /// (fog-2 residency), historical beyond.
-    pub fn paper_default() -> Self {
-        Self {
-            realtime_below_s: 900,
-            recent_below_s: 86_400,
-        }
-    }
-
-    /// Creates a policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `realtime_below_s > recent_below_s`.
-    pub fn new(realtime_below_s: u64, recent_below_s: u64) -> Self {
-        assert!(
-            realtime_below_s <= recent_below_s,
-            "real-time band must not exceed recent band"
-        );
-        Self {
-            realtime_below_s,
-            recent_below_s,
-        }
-    }
-
-    /// Classifies an age in seconds.
-    pub fn classify(&self, age_s: u64) -> AgeClass {
-        if age_s < self.realtime_below_s {
-            AgeClass::RealTime
-        } else if age_s < self.recent_below_s {
-            AgeClass::Recent
-        } else {
-            AgeClass::Historical
-        }
-    }
-}
-
-impl Default for AgePolicy {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn classification_bands() {
-        let p = AgePolicy::paper_default();
-        assert_eq!(p.classify(0), AgeClass::RealTime);
-        assert_eq!(p.classify(899), AgeClass::RealTime);
-        assert_eq!(p.classify(900), AgeClass::Recent);
-        assert_eq!(p.classify(86_399), AgeClass::Recent);
-        assert_eq!(p.classify(86_400), AgeClass::Historical);
-        assert_eq!(p.classify(u64::MAX), AgeClass::Historical);
-    }
-
-    #[test]
     fn age_classes_are_ordered() {
         assert!(AgeClass::RealTime < AgeClass::Recent);
         assert!(AgeClass::Recent < AgeClass::Historical);
-    }
-
-    #[test]
-    #[should_panic(expected = "must not exceed")]
-    fn inverted_policy_panics() {
-        AgePolicy::new(100, 10);
-    }
-
-    #[test]
-    fn degenerate_bands_allowed() {
-        // A policy with no recent band: everything non-realtime is historical.
-        let p = AgePolicy::new(60, 60);
-        assert_eq!(p.classify(59), AgeClass::RealTime);
-        assert_eq!(p.classify(60), AgeClass::Historical);
     }
 }

@@ -118,9 +118,9 @@ impl Instantiation {
 }
 
 /// The SCC-DLC: the smart-city instantiation of Fig. 2, with the 6V
-/// coverage each phase provides. The phase names match the implementations
-/// in [`crate::acquisition`], [`crate::processing`] and
-/// [`crate::preservation`].
+/// coverage each phase provides. The acquisition and classification
+/// names match the implementations in [`crate::acquisition`] and
+/// [`crate::preservation`]; the other four phases are declared by name.
 pub fn scc_instantiation() -> Instantiation {
     use Block::*;
     use SixV::*;
@@ -195,17 +195,19 @@ mod tests {
         use crate::acquisition::*;
         use crate::phase::Phase;
         use crate::preservation::*;
-        use crate::processing::*;
         let impls: Vec<&'static str> = vec![
             CollectionPhase::new().name(),
             FilteringPhase::paper_default().name(),
             QualityPhase::dropping_failures().name(),
             DescriptionPhase::new("x", 0, 0).name(),
-            ProcessPhase::new(vec![]).name(),
-            AnalysisPhase::new(3.0).name(),
+            // No system path runs processing; declared by name.
+            "data-process",
+            "data-analysis",
             ClassificationPhase::new().name(),
-            ArchivePhase::new().name(),
-            // dissemination is a portal, not a Phase; declared by name.
+            // The archive is `ArchiveStore`, not a `Phase`; records are
+            // read back through `f2c-query`, which has no dissemination
+            // phase. Both declared by name.
+            "data-archive",
             "data-dissemination",
         ];
         let declared: Vec<&'static str> =

@@ -7,28 +7,12 @@ pub type Result<T> = std::result::Result<T, Error>;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Error {
-    /// A pipeline was built with phases from mismatched blocks.
-    MixedBlocks {
-        /// The pipeline's declared block.
-        expected: &'static str,
-        /// The offending phase's block.
-        found: &'static str,
-        /// The offending phase's name.
-        phase: &'static str,
-    },
     /// A query's time range is inverted.
     InvertedRange {
         /// Range start (seconds).
         from_s: u64,
         /// Range end (seconds).
         until_s: u64,
-    },
-    /// Access denied by a dissemination policy.
-    AccessDenied {
-        /// The requested category provider name.
-        provider: String,
-        /// The policy that refused.
-        policy: &'static str,
     },
     /// A quality policy was configured with an inverted bound.
     InvertedBounds {
@@ -42,19 +26,8 @@ pub enum Error {
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::MixedBlocks {
-                expected,
-                found,
-                phase,
-            } => write!(
-                f,
-                "phase {phase} belongs to block {found}, pipeline expects {expected}"
-            ),
             Error::InvertedRange { from_s, until_s } => {
                 write!(f, "inverted time range [{from_s}, {until_s})")
-            }
-            Error::AccessDenied { provider, policy } => {
-                write!(f, "access to {provider} denied by {policy} policy")
             }
             Error::InvertedBounds { min, max } => {
                 write!(f, "inverted quality bounds [{min}, {max}]")

@@ -1,24 +1,20 @@
 //! The SCC-DLC model: Smart City Comprehensive Data Life-Cycle (§II,
-//! Figs. 1–2 of the paper).
+//! Figs. 1–2 of the paper), reduced to the parts the F2C system runs.
 //!
-//! The model organizes data management into three blocks of phases:
-//!
-//! * **Data acquisition** — [`acquisition`]: collection, filtering
-//!   (aggregation), quality, description;
-//! * **Data processing** — [`processing`]: process (transformation) and
-//!   analysis;
-//! * **Data preservation** — [`preservation`]: classification, archive,
-//!   dissemination.
-//!
-//! Data flows (Fig. 1): acquired data is *real-time* when consumed
-//! immediately, *archivable* when routed to preservation, *historical* when
-//! read back from the archive for processing, and *higher-value* when
-//! processing results are preserved again. [`flow::DataFlow`] implements
-//! this routing; [`age::AgeClass`] implements the age characterization of
-//! §II ("we characterize data according to its age").
-//!
-//! Phases are [`phase::Phase`] objects composed into [`pipeline::Pipeline`]s;
-//! the `f2c-core` crate maps pipelines onto fog/cloud nodes per Fig. 5.
+//! * **Acquisition** — [`acquisition`]: collection, filtering
+//!   (redundant-data elimination), quality, description. Every fog-1
+//!   node runs an [`acquisition::AcquisitionBlock`] on ingest.
+//! * **Classification and archive** — [`preservation`]: the cloud runs
+//!   [`preservation::ClassificationPhase`] on every received batch, and
+//!   [`preservation::ArchiveStore`] is the storage tier under every
+//!   node's `TieredStore` in `f2c-core`.
+//! * **Age classes** — [`AgeClass`] implements the age characterization
+//!   of §II ("we characterize data according to its age"); service
+//!   placement maps each class to the layer that holds it.
+//! * **The COSA check** — [`cosa`] declares the nine phases of Fig. 2
+//!   and verifies that the instantiation covers the 6 Vs and all three
+//!   blocks. The processing phases and dissemination are declared there
+//!   by name only: no system path runs them.
 //!
 //! # Quickstart
 //!
@@ -39,11 +35,8 @@ pub mod age;
 pub mod cosa;
 pub mod descriptor;
 mod error;
-pub mod flow;
 pub mod phase;
-pub mod pipeline;
 pub mod preservation;
-pub mod processing;
 pub mod quality;
 pub mod record;
 
@@ -51,6 +44,5 @@ pub use age::AgeClass;
 pub use descriptor::{Descriptor, PrivacyLevel};
 pub use error::{Error, Result};
 pub use phase::{Block, Phase, PhaseContext, PhaseStats};
-pub use pipeline::Pipeline;
 pub use quality::{QualityPolicy, QualityReport};
 pub use record::DataRecord;

@@ -5,7 +5,8 @@ use std::fmt;
 
 use crate::record::DataRecord;
 
-/// The three blocks of the SCC-DLC model (Fig. 2).
+/// The three blocks of the SCC-DLC model (Fig. 2), as declared by
+/// [`crate::cosa::scc_instantiation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Block {
     /// Data acquisition: collection, filtering, quality, description.
@@ -78,19 +79,16 @@ impl PhaseStats {
 
 /// One life-cycle phase.
 ///
-/// Implementations live in [`crate::acquisition`], [`crate::processing`]
-/// and [`crate::preservation`]; [`crate::pipeline::Pipeline`] composes them
-/// and enforces that a pipeline never mixes blocks.
+/// Implementations live in [`crate::acquisition`] and
+/// [`crate::preservation`]; [`crate::acquisition::AcquisitionBlock`]
+/// runs the four acquisition phases in order.
 ///
-/// `Send + Sync` so nodes embedding pipelines can be owned by district
+/// `Send + Sync` so nodes embedding phases can be owned by district
 /// shards on worker threads (phases hold plain configuration and
 /// counters, never shared handles).
 pub trait Phase: Send + Sync {
     /// Stable phase name (e.g. `"data-filtering"`).
     fn name(&self) -> &'static str;
-
-    /// Which block the phase belongs to.
-    fn block(&self) -> Block;
 
     /// Processes one batch.
     fn run(&mut self, batch: Vec<DataRecord>, ctx: &PhaseContext) -> Vec<DataRecord>;

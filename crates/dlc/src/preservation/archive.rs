@@ -8,7 +8,6 @@ use std::collections::BTreeMap;
 
 use scc_sensors::Category;
 
-use crate::phase::{Block, Phase, PhaseContext};
 use crate::record::DataRecord;
 use crate::{Error, Result};
 
@@ -138,46 +137,6 @@ impl ArchiveStore {
     }
 }
 
-/// Pass-through phase that archives every record it sees.
-#[derive(Debug, Clone, Default)]
-pub struct ArchivePhase {
-    store: ArchiveStore,
-}
-
-impl ArchivePhase {
-    /// Creates the phase with an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &ArchiveStore {
-        &self.store
-    }
-
-    /// Mutable store access (eviction, migration).
-    pub fn store_mut(&mut self) -> &mut ArchiveStore {
-        &mut self.store
-    }
-}
-
-impl Phase for ArchivePhase {
-    fn name(&self) -> &'static str {
-        "data-archive"
-    }
-
-    fn block(&self) -> Block {
-        Block::Preservation
-    }
-
-    fn run(&mut self, batch: Vec<DataRecord>, _ctx: &PhaseContext) -> Vec<DataRecord> {
-        for rec in &batch {
-            self.store.insert(rec.clone());
-        }
-        batch
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,17 +233,5 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.wire_bytes(), 0);
         assert_eq!(s.earliest_s(), None);
-    }
-
-    #[test]
-    fn archive_phase_is_pass_through_with_side_effect() {
-        let mut phase = ArchivePhase::new();
-        let batch = vec![
-            rec(SensorType::Weather, 0, 1),
-            rec(SensorType::Weather, 1, 2),
-        ];
-        let out = phase.run(batch.clone(), &PhaseContext::at(10));
-        assert_eq!(out, batch);
-        assert_eq!(phase.store().len(), 2);
     }
 }

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use scc_sensors::SensorId;
 
-use crate::phase::{Block, Phase, PhaseContext};
+use crate::phase::{Phase, PhaseContext};
 use crate::record::DataRecord;
 
 /// Version and provenance chain for one sensor's record stream.
@@ -50,10 +50,6 @@ impl ClassificationPhase {
 impl Phase for ClassificationPhase {
     fn name(&self) -> &'static str {
         "data-classification"
-    }
-
-    fn block(&self) -> Block {
-        Block::Preservation
     }
 
     fn run(&mut self, mut batch: Vec<DataRecord>, _ctx: &PhaseContext) -> Vec<DataRecord> {

@@ -1,13 +1,12 @@
-//! The data preservation block (Fig. 2): classification, archive,
-//! dissemination. In the F2C mapping these run mainly at the cloud
-//! (permanent storage), with fog layers holding temporary tiers (§IV.B).
+//! The data preservation block (Fig. 2) as the system runs it:
+//! classification orders and versions every batch the cloud receives, and
+//! [`ArchiveStore`] is the storage tier at every F2C layer, temporary at
+//! fog 1 and fog 2 and permanent at the cloud (§IV.B). Dissemination is
+//! declared in [`crate::cosa`] but not implemented: records are read
+//! through the query engine.
 
 mod archive;
 mod classification;
-mod dissemination;
-mod removal;
 
-pub use archive::{ArchivePhase, ArchiveStore};
+pub use archive::ArchiveStore;
 pub use classification::{ClassificationPhase, Lineage};
-pub use dissemination::{AccessRole, OpenDataPortal, QueryFilter};
-pub use removal::{purge_expired, RemovalPolicy, RemovalReport};

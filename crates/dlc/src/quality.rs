@@ -6,7 +6,7 @@
 //! explicitly notes processing and preservation need no quality phase
 //! because everything reaching them was already checked.
 
-use scc_sensors::{Category, SensorType, Value};
+use scc_sensors::{SensorType, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::{Error, Result};
@@ -155,15 +155,6 @@ impl Default for QualityPolicy {
     fn default() -> Self {
         Self::paper_default()
     }
-}
-
-/// Convenience: the category a violation report would block from open-data
-/// publication (used by dissemination tests).
-pub fn is_publishable(category: Category, report: &QualityReport) -> bool {
-    // All Sentilo categories are open data; publication only requires
-    // passing quality.
-    let _ = category;
-    report.passed()
 }
 
 #[cfg(test)]

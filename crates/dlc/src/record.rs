@@ -3,7 +3,6 @@
 use scc_sensors::{Reading, SensorType};
 use serde::{Deserialize, Serialize};
 
-use crate::age::{AgeClass, AgePolicy};
 use crate::descriptor::Descriptor;
 use crate::quality::QualityReport;
 
@@ -69,11 +68,6 @@ impl DataRecord {
         self.quality = Some(report);
     }
 
-    /// Age class at `now_s` under `policy`, based on creation time.
-    pub fn age_class(&self, now_s: u64, policy: &AgePolicy) -> AgeClass {
-        policy.classify(now_s.saturating_sub(self.descriptor.created_s()))
-    }
-
     /// Approximate wire size of this record in bytes (its Sentilo text
     /// encoding) — used for traffic accounting of record batches.
     pub fn wire_len(&self) -> u64 {
@@ -100,15 +94,6 @@ mod tests {
         let rec = record(1234);
         assert_eq!(rec.descriptor().created_s(), 1234);
         assert_eq!(rec.reading().timestamp_s(), 1234);
-    }
-
-    #[test]
-    fn age_class_uses_policy() {
-        let rec = record(0);
-        let p = AgePolicy::paper_default();
-        assert_eq!(rec.age_class(10, &p), AgeClass::RealTime);
-        assert_eq!(rec.age_class(10_000, &p), AgeClass::Recent);
-        assert_eq!(rec.age_class(100_000, &p), AgeClass::Historical);
     }
 
     #[test]

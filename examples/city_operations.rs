@@ -1,7 +1,6 @@
 //! City operations day: the assembled `F2cCity` ingesting fixed sensors
-//! *and* participatory smartphone data, serving a placed service through
-//! the §IV.C cost model, and closing the life cycle with policy-driven
-//! data removal.
+//! *and* participatory smartphone data, and serving a placed service
+//! through the §IV.C cost model.
 //!
 //! Run with `cargo run --release --example city_operations`.
 
@@ -10,7 +9,6 @@ use f2c_smartcity::citysim::time::Duration;
 use f2c_smartcity::core::placement::ServiceSpec;
 use f2c_smartcity::core::service::CityService;
 use f2c_smartcity::core::F2cCity;
-use f2c_smartcity::dlc::preservation::{purge_expired, RemovalPolicy};
 use f2c_smartcity::sensors::sources::{ParticipatorySource, ThirdPartyFeed};
 use f2c_smartcity::sensors::{ReadingGenerator, SensorType};
 
@@ -75,18 +73,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         svc.latencies().quantile(0.5),
         svc.latencies().max(),
         svc.request_count()
-    );
-
-    // End of life: a retention audit three years out.
-    let mut snapshot = city.cloud().store().archive().clone();
-    let report = purge_expired(
-        &mut snapshot,
-        &RemovalPolicy::paper_default(),
-        3 * 365 * 86_400,
-    );
-    println!(
-        "\nremoval audit (3 years out): {} of {} records would be destroyed ({:?})",
-        report.removed, report.examined, report.per_category
     );
     Ok(())
 }

@@ -1,11 +1,10 @@
 //! Quickstart: stand up one fog-1 node, push sensor waves through the
-//! SCC-DLC acquisition block, flush upward to a fog-2 node and the cloud,
-//! and query the result through the open-data portal.
+//! SCC-DLC acquisition block, and flush upward to a fog-2 node and the
+//! cloud, which preserves the records permanently.
 //!
 //! Run with `cargo run --example quickstart`.
 
 use f2c_smartcity::core::{F2cNode, FlushPolicy, RetentionPolicy};
-use f2c_smartcity::dlc::preservation::{AccessRole, OpenDataPortal, QueryFilter};
 use f2c_smartcity::sensors::{Catalog, ReadingGenerator, SensorType};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -52,26 +51,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "cloud now preserves {} records permanently",
         cloud.store().len()
-    );
-
-    // Consume through the dissemination interface. Energy data is tagged
-    // Restricted by the description phase, so a public query is refused
-    // while a city service succeeds.
-    let portal = OpenDataPortal::new();
-    let public = portal.query(
-        cloud.store().archive(),
-        AccessRole::Public,
-        QueryFilter::default(),
-    );
-    let service = portal.query(
-        cloud.store().archive(),
-        AccessRole::CityService,
-        QueryFilter::default(),
-    )?;
-    println!(
-        "\nopen-data portal: public sees {} records, city service sees {}",
-        public.map(|v| v.len()).unwrap_or(0),
-        service.len()
     );
     Ok(())
 }

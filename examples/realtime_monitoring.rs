@@ -1,8 +1,7 @@
 //! A latency-critical service from the paper's motivation: real-time noise
-//! monitoring with anomaly alerts. Shows (a) the placement engine putting
-//! the service at fog layer 1, (b) the analysis phase flagging a noise
-//! spike, and (c) why the same service could not meet its deadline from a
-//! centralized cloud.
+//! monitoring. Shows (a) the placement engine putting the service at fog
+//! layer 1, and (b) why the same service could not meet its deadline from
+//! a centralized cloud.
 //!
 //! Run with `cargo run --example realtime_monitoring`.
 
@@ -10,10 +9,6 @@ use f2c_smartcity::citysim::barcelona::{BarcelonaTopology, LatencyProfile};
 use f2c_smartcity::citysim::time::Duration;
 use f2c_smartcity::core::placement::{PlacementEngine, ServiceSpec};
 use f2c_smartcity::core::request::AccessSimulator;
-use f2c_smartcity::dlc::phase::{Phase, PhaseContext};
-use f2c_smartcity::dlc::processing::AnalysisPhase;
-use f2c_smartcity::dlc::DataRecord;
-use f2c_smartcity::sensors::{Reading, ReadingGenerator, SensorId, SensorType, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // (a) Place the service: 10 ms deadline on section-local real-time data.
@@ -25,46 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         placement.layer, placement.access_latency
     );
 
-    // (b) Run the analysis phase over a noise stream with an injected spike.
-    let mut analysis = AnalysisPhase::new(3.0);
-    let mut gen = ReadingGenerator::for_population(SensorType::NoiseTrafficZone, 30, 9);
-    for wave in 0..120u64 {
-        let records: Vec<DataRecord> = gen
-            .wave(wave * 60)
-            .into_iter()
-            .map(DataRecord::from_reading)
-            .collect();
-        analysis.run(records, &PhaseContext::at(wave * 60));
-    }
-    // A 130 dB event (way outside the walk's band).
-    let spike = Reading::new(
-        SensorId::new(SensorType::NoiseTrafficZone, 7),
-        7_300,
-        Value::from_f64(130.0),
-    );
-    analysis.run(
-        vec![DataRecord::from_reading(spike)],
-        &PhaseContext::at(7_300),
-    );
-    let summary = analysis.summary();
-    println!(
-        "analyzed {} readings; {} anomal{} detected",
-        summary.per_type[&SensorType::NoiseTrafficZone].count,
-        summary.anomalies.len(),
-        if summary.anomalies.len() == 1 {
-            "y"
-        } else {
-            "ies"
-        }
-    );
-    for a in &summary.anomalies {
-        println!(
-            "  ALERT {} at t={}s: {:.1} dB (z = {:.1})",
-            a.sensor, a.timestamp_s, a.value, a.z
-        );
-    }
-
-    // (c) The deadline argument: fog vs centralized access latency.
+    // (b) The deadline argument: fog vs centralized access latency.
     let mut sim = AccessSimulator::new(BarcelonaTopology::build(&LatencyProfile::default()));
     let fog = sim.realtime_read_f2c(12, 1_000);
     let cloud = sim.realtime_read_centralized(12, 1_000)?;

@@ -1,5 +1,5 @@
 //! Integration over the assembled city: `F2cCity` + services +
-//! participatory sensing + life-cycle end (removal), across all crates.
+//! participatory sensing + the COSA check, across all crates.
 
 use f2c_smartcity::citysim::barcelona::LatencyProfile;
 use f2c_smartcity::citysim::time::Duration;
@@ -8,7 +8,6 @@ use f2c_smartcity::core::placement::ServiceSpec;
 use f2c_smartcity::core::service::CityService;
 use f2c_smartcity::core::F2cCity;
 use f2c_smartcity::dlc::cosa::scc_instantiation;
-use f2c_smartcity::dlc::preservation::{purge_expired, RemovalPolicy};
 use f2c_smartcity::sensors::sources::ParticipatorySource;
 use f2c_smartcity::sensors::{ReadingGenerator, SensorType};
 
@@ -71,38 +70,6 @@ fn a_placed_service_reads_roaming_data_via_the_cost_model() {
         .unwrap();
     assert_eq!(remote.source, DataSource::Neighbor(30));
     assert!(remote.latency > local.latency);
-}
-
-#[test]
-fn the_life_cycle_ends_with_policy_driven_removal() {
-    let mut city = F2cCity::barcelona().unwrap();
-    let mut meters = ReadingGenerator::for_population(SensorType::GasMeter, 20, 5);
-    let mut weather = ReadingGenerator::for_population(SensorType::Weather, 20, 6);
-    city.ingest(0, meters.wave(0), 1).unwrap();
-    city.ingest(0, weather.wave(0), 1).unwrap();
-    city.flush_all(1_000).unwrap();
-    let cloud_before = city.cloud().store().len();
-    assert!(cloud_before > 0);
-
-    // Three years on, restricted energy data must be destroyed while the
-    // public weather data stays. (We purge a snapshot of the cloud archive;
-    // the node API exposes the archive read-only by design, so the purge
-    // operates on the cloned store as a policy audit.)
-    let mut snapshot = city.cloud().store().archive().clone();
-    let report = purge_expired(
-        &mut snapshot,
-        &RemovalPolicy::paper_default(),
-        3 * 365 * 86_400,
-    );
-    assert!(report.removed > 0);
-    assert!(snapshot.len() < cloud_before);
-    for rec in snapshot.iter() {
-        assert_ne!(
-            rec.sensor_type(),
-            SensorType::GasMeter,
-            "restricted meter data must be gone"
-        );
-    }
 }
 
 #[test]

@@ -328,4 +328,13 @@ fn divergence_reporting_points_at_first_differing_byte() {
         "unexpected divergence report: {report}"
     );
     assert_eq!(byte_divergence(b"abc", b"abc", "probe"), None);
+
+    // Equal length, same lines, another order: a reordering, not a
+    // change of content.
+    let report = byte_divergence(b"x=1\ny=2\n", b"y=2\nx=1\n", "probe").expect("order differs");
+    assert!(
+        report.contains("byte offset 0")
+            && report.contains("ordering differs: same lines, different order"),
+        "unexpected divergence report: {report}"
+    );
 }

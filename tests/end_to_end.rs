@@ -1,9 +1,8 @@
 //! End-to-end integration: raw sensor waves → fog-1 acquisition → fog-2 →
-//! cloud preservation → open-data dissemination, across all crates.
+//! cloud preservation, across all crates.
 
 use f2c_smartcity::core::{F2cNode, FlushPolicy, RetentionPolicy};
-use f2c_smartcity::dlc::preservation::{AccessRole, OpenDataPortal, QueryFilter};
-use f2c_smartcity::sensors::{Catalog, Category, ReadingGenerator, SensorType};
+use f2c_smartcity::sensors::{Catalog, ReadingGenerator, SensorType};
 
 /// A helper hierarchy: one fog-1, one fog-2, one cloud.
 fn chain() -> (F2cNode, F2cNode, F2cNode) {
@@ -48,58 +47,6 @@ fn readings_survive_the_full_hierarchy() {
         assert!(rec.descriptor().is_fully_described());
         assert!(rec.quality().expect("assessed at fog 1").passed());
     }
-}
-
-#[test]
-fn portal_roles_gate_cloud_data_by_category() {
-    let catalog = Catalog::barcelona();
-    let (mut fog1, mut fog2, mut cloud) = chain();
-
-    // Mixed workload: public weather + restricted energy.
-    let mut weather = ReadingGenerator::for_population(SensorType::Weather, 10, 1);
-    let mut meters = ReadingGenerator::for_population(SensorType::ElectricityMeter, 10, 2);
-    for wave in 0..6u64 {
-        let t = wave * 900;
-        fog1.ingest_wave(weather.wave(t), t + 1, &catalog).unwrap();
-        fog1.ingest_wave(meters.wave(t), t + 1, &catalog).unwrap();
-    }
-    let b = fog1.flush(6000, &catalog).unwrap();
-    fog2.receive(b.records, 6000);
-    let b = fog2.flush(6000, &catalog).unwrap();
-    cloud.receive(b.records, 6000);
-
-    let portal = OpenDataPortal::new();
-    let public_all = portal
-        .query(
-            cloud.store().archive(),
-            AccessRole::Public,
-            QueryFilter::default(),
-        )
-        .unwrap();
-    assert!(public_all
-        .iter()
-        .all(|r| r.sensor_type() == SensorType::Weather));
-
-    // Energy explicitly requested by the public is denied, not empty.
-    let denied = portal.query(
-        cloud.store().archive(),
-        AccessRole::Public,
-        QueryFilter {
-            category: Some(Category::Energy),
-            range_s: None,
-        },
-    );
-    assert!(denied.is_err());
-
-    // A city service reads both.
-    let service_all = portal
-        .query(
-            cloud.store().archive(),
-            AccessRole::CityService,
-            QueryFilter::default(),
-        )
-        .unwrap();
-    assert!(service_all.len() > public_all.len());
 }
 
 #[test]
